@@ -187,19 +187,12 @@ pub fn run(args: &[String]) -> CmdResult {
         let dropped = trace.as_ref().map_or(0, |t| t.dropped());
         println!("trace: {written} events written to {path} ({dropped} dropped under pressure)");
     }
-    // The drain summary *checks* the ledger, it does not just print it:
-    // every admitted request must be classified (completed/shed/failed),
-    // and the reload/quarantine counters must agree with themselves as a
-    // snapshot (reconciles_reloads compares against the watcher-reported
-    // totals — here the final snapshot is the ground truth the chaos
-    // harness and CI greps assert against).
-    let reconciled = stats.reconciles()
-        && stats.reconciles_reloads(
-            stats.reloads_ok,
-            stats.reloads_rejected,
-            stats.artifacts_quarantined,
-        );
-    if !reconciled {
+    // The drain summary *checks* the admission ledger, it does not just
+    // print it: every admitted request must be classified
+    // (completed/shed/failed). The reload/quarantine counters are
+    // reported for the CI greps and the chaos harness to compare against
+    // what they did; the server has no independent count to check them by.
+    if !stats.reconciles() {
         return Err(Failure::runtime(format!(
             "LEDGER MISMATCH after drain: {} submitted != {} completed + {} shed + {} failed \
              (reloads ok/rejected: {}/{}; artifacts quarantined: {})",

@@ -10,8 +10,8 @@
 //! |------|-------------------------------------------------|
 //! | 0    | valid                                           |
 //! | 2    | usage error                                     |
-//! | 3    | structural (bad magic, truncation, checksum)    |
-//! | 4    | version skew (artifact outside supported range) |
+//! | 3    | structural (bad magic, truncation, length)      |
+//! | 4    | version skew (not the current format version)   |
 //! | 5    | provenance (digest/MAC failure, unsigned+key)   |
 //! | 6    | artifact/grammar mismatch                       |
 //!
@@ -19,7 +19,7 @@
 //! as at load time: unsigned artifacts fail with code 5.
 
 use crate::{CmdResult, Failure};
-use ipg_core::ipgc::{artifact_key_from_env, verify, VerifyError};
+use ipg_core::ipgc::{artifact_key_from_env, verify, VerifyError, FORMAT_VERSION};
 use ipg_formats::corpus_descriptors;
 use std::path::Path;
 
@@ -63,13 +63,9 @@ pub fn run(args: &[String]) -> CmdResult {
                 (false, _) => "unsigned, digest verified",
             };
             println!(
-                "{artifact_arg}: valid (v{}, source hash {:016x}, {} payload bytes, \
+                "{artifact_arg}: valid (v{FORMAT_VERSION}, source hash {:016x}, {} payload bytes, \
                  {} rules, {} symbols; {provenance})",
-                report.version,
-                report.source_hash,
-                report.payload_len,
-                report.rules,
-                report.symbols
+                report.source_hash, report.payload_len, report.rules, report.symbols
             );
             Ok(())
         }

@@ -33,7 +33,7 @@ pub enum Error {
     /// budget exceeded, …) or evicted by its host.
     Session(String),
     /// A persisted `.ipgc` artifact could not be loaded: bad magic,
-    /// format-version skew, checksum mismatch, truncation, or an
+    /// format-version skew, digest mismatch, truncation, or an
     /// inconsistency between the artifact and the grammar it claims to
     /// have been compiled from. Loading never panics on malformed bytes.
     Artifact(String),

@@ -19,9 +19,8 @@
 //!      4     4  format version (u32) — see [`FORMAT_VERSION`]
 //!      8     8  source hash (u64)   — cache key, see [`source_hash`]
 //!     16     8  payload length (u64)
-//!     24     8  payload hash (u64)  — FNV-1a over the payload bytes
-//!     32     …  payload
-//!      …    33+ provenance trailer (format v2+, see below)
+//!     24     …  payload
+//!      …    33+ provenance trailer (see below)
 //! ```
 //!
 //! The payload carries, length-prefixed and in order: the embedded `.ipg`
@@ -30,9 +29,9 @@
 //! literal pools of the [`Program`], the nonterminal name table, the
 //! anchor classification, and the size hints.
 //!
-//! ## Provenance trailer (v2+)
+//! ## Provenance trailer
 //!
-//! Format v2 appends a trailer after the payload:
+//! A trailer follows the payload:
 //!
 //! ```text
 //! offset (from payload end)  size  field
@@ -43,9 +42,8 @@
 //!                                  `IPG_ARTIFACT_KEY`
 //! ```
 //!
-//! The digest makes corruption of a cached artifact cryptographically
-//! evident (FNV is a checksum, not a collision-resistant hash); the
-//! optional MAC makes a *shared or untrusted* cache directory
+//! The digest is the artifact's one integrity check: it makes corruption
+//! of a cached artifact cryptographically evident. The optional MAC makes a *shared or untrusted* cache directory
 //! tamper-evident: with a key configured, loaders refuse unsigned or
 //! wrongly-signed artifacts with a provenance error, and the cache
 //! quarantines + recompiles them. See [`verify`] for the staged check and
@@ -55,18 +53,17 @@
 //!
 //! [`FORMAT_VERSION`] is bumped on **any** change to the payload encoding
 //! or to the bytecode semantics it transports (new [`Instr`]/[`BExpr`]
-//! variants, changed operand widths, …). Loaders decode any version in
-//! `MIN_FORMAT_VERSION..=FORMAT_VERSION` (v1 artifacts simply have no
-//! trailer); newer or unknown versions fail with a typed
-//! [`Error::Artifact`] and the cache recompiles and rewrites them. Cache
-//! file names embed the source hash, and the hash input includes the
-//! format version, so artifacts from different toolchain versions never
-//! collide in one cache directory.
+//! variants, changed operand widths, …). Loaders decode exactly
+//! [`FORMAT_VERSION`]; any other version fails with a typed
+//! [`Error::Artifact`] and the cache quarantines, recompiles and rewrites
+//! it. Cache file names embed the source hash, and the hash input
+//! includes the format version, so artifacts from different toolchain
+//! versions never collide in one cache directory.
 //!
 //! ## Integrity
 //!
 //! Loading is total: corrupt, truncated, or version-skewed bytes produce
-//! a typed [`Error::Artifact`], never a panic. The payload hash catches
+//! a typed [`Error::Artifact`], never a panic. The SHA-256 digest catches
 //! bit-level corruption; a structural validation pass re-checks every
 //! cross-pool index against the decoded pool sizes; and
 //! [`Artifact::reconstruct_grammar`] verifies the artifact against the
@@ -93,24 +90,20 @@ use std::time::Duration;
 /// The artifact magic bytes.
 pub const MAGIC: [u8; 4] = *b"IPGC";
 
-/// Current artifact format version. Bump on any encoding or bytecode
-/// change; loaders reject newer versions with [`Error::Artifact`].
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version this loader still decodes. v1 files are v2
-/// files without the provenance trailer.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+/// The artifact format version. Bump on any encoding or bytecode change;
+/// loaders reject every other version with [`Error::Artifact`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Size of the fixed header preceding the payload.
-pub const HEADER_LEN: usize = 32;
+pub const HEADER_LEN: usize = 24;
 
-/// Length of the SHA-256 payload digest in the v2 trailer.
+/// Length of the SHA-256 payload digest in the trailer.
 pub const DIGEST_LEN: usize = 32;
 
-/// Length of the HMAC-SHA-256 tag in a signed v2 trailer.
+/// Length of the HMAC-SHA-256 tag in a signed trailer.
 pub const MAC_LEN: usize = 32;
 
-/// Minimum v2 trailer size: digest plus the signature flag byte.
+/// Minimum trailer size: digest plus the signature flag byte.
 pub const TRAILER_MIN: usize = DIGEST_LEN + 1;
 
 /// Trailer flag: artifact carries no MAC.
@@ -136,8 +129,7 @@ pub fn artifact_key_from_env() -> Option<Vec<u8>> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher used for both the cache key and the payload
-/// checksum.
+/// Streaming FNV-1a hasher behind the cache key ([`source_hash`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
 
@@ -167,27 +159,13 @@ impl Default for Fnv1a {
     }
 }
 
-/// Hashes raw bytes (the payload checksum).
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// The artifact cache key: a digest of everything the compiled program is
 /// a function of — the format version, the grammar source, and the
 /// blackbox declarations (name and attribute list; the *implementations*
 /// are runtime-bound and do not affect compilation).
 pub fn source_hash(spec: &str, blackboxes: &[Blackbox]) -> u64 {
-    source_hash_v(FORMAT_VERSION, spec, blackboxes)
-}
-
-/// [`source_hash`] for an explicit format version. Validating an older
-/// artifact must recompute the key with the version *it* was written at,
-/// or every v1 file would spuriously fail the source-hash check.
-pub fn source_hash_v(version: u32, spec: &str, blackboxes: &[Blackbox]) -> u64 {
     let mut h = Fnv1a::new();
-    h.update(&version.to_le_bytes());
+    h.update(&FORMAT_VERSION.to_le_bytes());
     h.update(&(spec.len() as u64).to_le_bytes());
     h.update(spec.as_bytes());
     h.update(&(blackboxes.len() as u64).to_le_bytes());
@@ -629,14 +607,13 @@ pub fn encode_signed(
     sign_bytes(unsigned, key)
 }
 
-/// Assembles header + payload + v2 provenance trailer.
+/// Assembles header + payload + provenance trailer.
 fn assemble(spec: &str, grammar: &Grammar, payload: Vec<u8>, key: Option<&[u8]>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_MIN + MAC_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&source_hash(spec, grammar.blackboxes()).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&hash_bytes(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&sha256(&payload));
     out.push(FLAG_UNSIGNED);
@@ -657,14 +634,6 @@ fn sign_bytes(mut bytes: Vec<u8>, key: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Convenience: compile `grammar` and encode the result in one step.
-pub fn encode_grammar(spec: &str, grammar: &Grammar) -> Vec<u8> {
-    let program = compile(grammar);
-    let hints = program.size_hints();
-    let anchor = anchor_requirement(grammar);
-    encode(spec, grammar, &program, anchor, hints)
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
@@ -676,16 +645,12 @@ pub fn encode_grammar(spec: &str, grammar: &Grammar) -> Vec<u8> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VerifyError {
     /// The bytes are not a well-formed artifact: bad magic, truncation,
-    /// checksum mismatch, or an out-of-range index in the payload.
+    /// a length mismatch, or an out-of-range index in the payload.
     Structural(String),
-    /// The artifact's format version is outside the supported range.
+    /// The artifact's format version is not [`FORMAT_VERSION`].
     VersionSkew {
         /// The version recorded in the artifact header.
         found: u32,
-        /// The oldest version this loader decodes.
-        oldest: u32,
-        /// The newest version this loader decodes.
-        newest: u32,
     },
     /// The provenance trailer rejected the file: payload digest mismatch,
     /// missing signature under a configured key, or a failed MAC check.
@@ -699,9 +664,9 @@ impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::Structural(m) => write!(f, "{m}"),
-            VerifyError::VersionSkew { found, oldest, newest } => write!(
+            VerifyError::VersionSkew { found } => write!(
                 f,
-                "format version skew: artifact v{found}, loader supports v{oldest}..v{newest}"
+                "format version skew: artifact v{found}, loader reads only v{FORMAT_VERSION}"
             ),
             VerifyError::Provenance(m) => write!(f, "provenance: {m}"),
             VerifyError::Mismatch(m) => write!(f, "{m}"),
@@ -718,16 +683,15 @@ impl From<VerifyError> for Error {
 /// The header/trailer fields of a validated artifact envelope, with the
 /// payload located but not yet decoded.
 struct RawParts<'a> {
-    version: u32,
     source_hash: u64,
     payload: &'a [u8],
     signed: bool,
     mac_checked: bool,
 }
 
-/// Validates the artifact envelope: header, length, checksums, and the
-/// v2 provenance trailer (digest always; MAC when `key` is configured).
-/// Classifies failures per [`VerifyError`].
+/// Validates the artifact envelope: header, lengths, and the provenance
+/// trailer (digest always; MAC when `key` is configured). Classifies
+/// failures per [`VerifyError`].
 fn split<'a>(
     bytes: &'a [u8],
     key: Option<&[u8]>,
@@ -743,88 +707,61 @@ fn split<'a>(
         return structural("bad magic (not an .ipgc artifact)".into());
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(VerifyError::VersionSkew {
-            found: version,
-            oldest: MIN_FORMAT_VERSION,
-            newest: FORMAT_VERSION,
-        });
+    if version != FORMAT_VERSION {
+        return Err(VerifyError::VersionSkew { found: version });
     }
     let source_hash = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload_hash = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
     let rest = &bytes[HEADER_LEN..];
 
-    let (payload, signed, mac_checked);
-    if version == 1 {
-        // v1: the payload runs to end-of-file, no trailer.
-        if rest.len() as u64 != payload_len {
-            return structural(format!(
-                "payload length mismatch: header says {payload_len}, file has {}",
-                rest.len()
-            ));
-        }
-        payload = rest;
-        signed = false;
-        mac_checked = false;
-        if key.is_some() {
-            return Err(VerifyError::Provenance(
-                "signing key configured but v1 artifact carries no provenance trailer".into(),
-            ));
-        }
-    } else {
-        let room = rest.len().checked_sub(TRAILER_MIN);
-        let plen = usize::try_from(payload_len).ok().filter(|&p| Some(p) <= room);
-        let Some(plen) = plen else {
-            return structural(format!(
-                "payload length mismatch: header says {payload_len}, {} bytes follow the header \
-                 (trailer needs {TRAILER_MIN})",
-                rest.len()
-            ));
-        };
-        payload = &rest[..plen];
-        let digest: &[u8; 32] = rest[plen..plen + DIGEST_LEN].try_into().unwrap();
-        let flag = rest[plen + DIGEST_LEN];
-        let trailer_end = match flag {
-            FLAG_UNSIGNED => plen + TRAILER_MIN,
-            FLAG_SIGNED => plen + TRAILER_MIN + MAC_LEN,
-            other => return structural(format!("unknown trailer flag {other}")),
-        };
-        if rest.len() != trailer_end {
-            return structural(format!(
-                "file length mismatch: {} bytes after header, trailer ends at {trailer_end}",
-                rest.len()
-            ));
-        }
-        signed = flag == FLAG_SIGNED;
-        if !ct_eq32(&sha256(payload), digest) {
-            return Err(VerifyError::Provenance(
-                "payload digest mismatch (corrupt or tampered artifact)".into(),
-            ));
-        }
-        match (signed, key) {
-            (true, Some(k)) => {
-                let mac_start = HEADER_LEN + plen + TRAILER_MIN;
-                let mac: &[u8; 32] = bytes[mac_start..mac_start + MAC_LEN].try_into().unwrap();
-                if !ct_eq32(&hmac_sha256(k, &bytes[..mac_start]), mac) {
-                    return Err(VerifyError::Provenance(
-                        "MAC verification failed (wrong key or tampered artifact)".into(),
-                    ));
-                }
-                mac_checked = true;
-            }
-            (false, Some(_)) => {
+    let room = rest.len().checked_sub(TRAILER_MIN);
+    let plen = usize::try_from(payload_len).ok().filter(|&p| Some(p) <= room);
+    let Some(plen) = plen else {
+        return structural(format!(
+            "payload length mismatch: header says {payload_len}, {} bytes follow the header \
+             (trailer needs {TRAILER_MIN})",
+            rest.len()
+        ));
+    };
+    let payload = &rest[..plen];
+    let digest: &[u8; 32] = rest[plen..plen + DIGEST_LEN].try_into().unwrap();
+    let flag = rest[plen + DIGEST_LEN];
+    let trailer_end = match flag {
+        FLAG_UNSIGNED => plen + TRAILER_MIN,
+        FLAG_SIGNED => plen + TRAILER_MIN + MAC_LEN,
+        other => return structural(format!("unknown trailer flag {other}")),
+    };
+    if rest.len() != trailer_end {
+        return structural(format!(
+            "file length mismatch: {} bytes after header, trailer ends at {trailer_end}",
+            rest.len()
+        ));
+    }
+    let signed = flag == FLAG_SIGNED;
+    if !ct_eq32(&sha256(payload), digest) {
+        return Err(VerifyError::Provenance(
+            "payload digest mismatch (corrupt or tampered artifact)".into(),
+        ));
+    }
+    let mac_checked = match (signed, key) {
+        (true, Some(k)) => {
+            let mac_start = HEADER_LEN + plen + TRAILER_MIN;
+            let mac: &[u8; 32] = bytes[mac_start..mac_start + MAC_LEN].try_into().unwrap();
+            if !ct_eq32(&hmac_sha256(k, &bytes[..mac_start]), mac) {
                 return Err(VerifyError::Provenance(
-                    "signing key configured but artifact is unsigned".into(),
+                    "MAC verification failed (wrong key or tampered artifact)".into(),
                 ));
             }
-            (_, None) => mac_checked = false,
+            true
         }
-    }
-    if hash_bytes(payload) != payload_hash {
-        return structural("payload checksum mismatch (corrupt artifact)".into());
-    }
-    Ok(RawParts { version, source_hash, payload, signed, mac_checked })
+        (false, Some(_)) => {
+            return Err(VerifyError::Provenance(
+                "signing key configured but artifact is unsigned".into(),
+            ));
+        }
+        (_, None) => false,
+    };
+    Ok(RawParts { source_hash, payload, signed, mac_checked })
 }
 
 /// A decoded `.ipgc` artifact: the program and its precomputed analyses,
@@ -832,8 +769,6 @@ fn split<'a>(
 /// [`Grammar`].
 #[derive(Debug)]
 pub struct Artifact {
-    /// The format version the artifact was written at.
-    pub version: u32,
     /// The embedded `.ipg` source the program was compiled from.
     pub spec: String,
     /// The deserialized bytecode program.
@@ -854,7 +789,7 @@ pub struct Artifact {
 ///
 /// # Errors
 ///
-/// [`Error::Artifact`] on bad magic, version skew, truncation, checksum
+/// [`Error::Artifact`] on bad magic, version skew, truncation, digest
 /// or provenance mismatch, or any out-of-range cross-pool index. Never
 /// panics.
 pub fn decode(bytes: &[u8]) -> Result<Artifact> {
@@ -862,10 +797,10 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact> {
 }
 
 /// [`decode`] with an explicit provenance policy. With `key` set, the
-/// artifact must be v2+, signed, and carry a valid MAC — unsigned or v1
-/// files are rejected with a provenance error (the cache then
-/// quarantines and recompiles them). Without a key, signatures are
-/// ignored and only the digest/checksum integrity checks apply.
+/// artifact must be signed and carry a valid MAC — unsigned files are
+/// rejected with a provenance error (the cache then quarantines and
+/// recompiles them). Without a key, signatures are ignored and only the
+/// digest is checked.
 pub fn decode_with_key(bytes: &[u8], key: Option<&[u8]>) -> Result<Artifact> {
     let parts = split(bytes, key)?;
     decode_parts(parts)
@@ -873,7 +808,7 @@ pub fn decode_with_key(bytes: &[u8], key: Option<&[u8]>) -> Result<Artifact> {
 
 /// Decodes the located payload into an [`Artifact`].
 fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
-    let RawParts { version, source_hash, payload, .. } = parts;
+    let RawParts { source_hash, payload, .. } = parts;
     let mut r = Reader::new(payload);
 
     // 1. Source.
@@ -1049,7 +984,7 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
         nt_table: Arc::new(NtTable { names, syms: nt_syms }),
         start,
     };
-    let artifact = Artifact { version, spec, program, anchor, hints, source_hash, symbols };
+    let artifact = Artifact { spec, program, anchor, hints, source_hash, symbols };
     artifact.validate_structure()?;
     Ok(artifact)
 }
@@ -1058,8 +993,6 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
 /// actually ran.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
-    /// Format version from the header.
-    pub version: u32,
     /// Cache key from the header.
     pub source_hash: u64,
     /// Decoded payload size in bytes.
@@ -1075,7 +1008,7 @@ pub struct VerifyReport {
 }
 
 /// Verifies artifact bytes end to end, classifying any failure by stage:
-/// envelope + provenance ([`split`] semantics), structural payload
+/// envelope + provenance (header, lengths, digest, MAC), structural payload
 /// decode, then reconstruction of the grammar from the embedded source
 /// and cross-validation against the decoded program. `blackboxes` are
 /// bound by name during reconstruction, as at load time.
@@ -1085,13 +1018,11 @@ pub fn verify(
     blackboxes: Vec<Blackbox>,
 ) -> std::result::Result<VerifyReport, VerifyError> {
     let parts = split(bytes, key)?;
-    let (version, source_hash, payload_len) =
-        (parts.version, parts.source_hash, parts.payload.len());
+    let (source_hash, payload_len) = (parts.source_hash, parts.payload.len());
     let (signed, mac_checked) = (parts.signed, parts.mac_checked);
     let artifact = decode_parts(parts).map_err(|e| VerifyError::Structural(e.to_string()))?;
     artifact.reconstruct_grammar(blackboxes).map_err(|e| VerifyError::Mismatch(e.to_string()))?;
     Ok(VerifyReport {
-        version,
         source_hash,
         payload_len,
         signed,
@@ -1103,7 +1034,7 @@ pub fn verify(
 
 impl Artifact {
     /// Verifies every cross-pool index of the decoded program, so that a
-    /// crafted (checksum-consistent) artifact can still never drive the
+    /// crafted (digest-consistent) artifact can still never drive the
     /// VM out of bounds.
     fn validate_structure(&self) -> Result<()> {
         let p = &self.program;
@@ -1276,10 +1207,7 @@ impl Artifact {
     /// cache key, same symbol table, same nonterminal table, same start
     /// id, and in-range blackbox indices.
     pub fn validate_against(&self, grammar: &Grammar) -> Result<()> {
-        // Recompute with the version the artifact was written at: the
-        // hash input includes the format version, so a v1 artifact's key
-        // differs from a v2 key over the same source.
-        let expected = source_hash_v(self.version, &self.spec, grammar.blackboxes());
+        let expected = source_hash(&self.spec, grammar.blackboxes());
         if expected != self.source_hash {
             return Err(Error::Artifact(format!(
                 "source hash mismatch: artifact {:016x}, grammar {expected:016x}",
@@ -1422,68 +1350,17 @@ pub struct GcReport {
 
 /// Process-wide artifact-cache telemetry, aggregated across every
 /// [`Cache`] instance. Caches are created per load (each
-/// [`Cache::from_env`] call builds a fresh instance), so the
-/// per-instance counters alone cannot describe the process — every
-/// instance mirrors its increments here, and a metrics exporter
-/// registers these shared cells once instead of chasing instances.
+/// [`Cache::from_env`] call builds a fresh instance), so the totals live
+/// in statics that a metrics exporter reads in place.
 pub mod cache_totals {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
+    use std::sync::atomic::AtomicU64;
 
-    fn cell(slot: &OnceLock<Arc<AtomicU64>>) -> &Arc<AtomicU64> {
-        slot.get_or_init(|| Arc::new(AtomicU64::new(0)))
-    }
-
-    static HITS: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    static MISSES: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    static QUARANTINED: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-
-    /// The three shared cells, cloned for registration in a metrics
-    /// registry (the producer keeps incrementing; the registry reads).
-    pub struct Totals {
-        /// Loads answered from a fresh artifact.
-        pub hits: Arc<AtomicU64>,
-        /// Loads that fell back to compiling from source.
-        pub misses: Arc<AtomicU64>,
-        /// Invalid artifacts renamed to `*.ipgc.bad`.
-        pub quarantined: Arc<AtomicU64>,
-    }
-
-    /// Clones the shared counter cells.
-    pub fn counters() -> Totals {
-        Totals {
-            hits: Arc::clone(cell(&HITS)),
-            misses: Arc::clone(cell(&MISSES)),
-            quarantined: Arc::clone(cell(&QUARANTINED)),
-        }
-    }
-
-    /// Cache hits across every instance since process start.
-    pub fn hits() -> u64 {
-        cell(&HITS).load(Ordering::Relaxed)
-    }
-
-    /// Cache misses across every instance since process start.
-    pub fn misses() -> u64 {
-        cell(&MISSES).load(Ordering::Relaxed)
-    }
-
-    /// Quarantines across every instance since process start.
-    pub fn quarantined() -> u64 {
-        cell(&QUARANTINED).load(Ordering::Relaxed)
-    }
-
-    pub(super) fn record_hit() {
-        cell(&HITS).fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_miss() {
-        cell(&MISSES).fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_quarantine() {
-        cell(&QUARANTINED).fetch_add(1, Ordering::Relaxed);
-    }
+    /// Loads answered from a fresh artifact.
+    pub static HITS: AtomicU64 = AtomicU64::new(0);
+    /// Loads that fell back to compiling from source.
+    pub static MISSES: AtomicU64 = AtomicU64::new(0);
+    /// Invalid artifacts renamed to `*.ipgc.bad`.
+    pub static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 }
 
 /// A directory of `.ipgc` artifacts keyed by [`source_hash`].
@@ -1502,22 +1379,13 @@ pub mod cache_totals {
 pub struct Cache {
     dir: PathBuf,
     key: Option<Arc<Vec<u8>>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    quarantined: Arc<AtomicU64>,
 }
 
 impl Cache {
     /// A cache rooted at `dir` (created lazily on first write), with no
     /// signing key.
     pub fn at(dir: impl Into<PathBuf>) -> Cache {
-        Cache {
-            dir: dir.into(),
-            key: None,
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            quarantined: Arc::new(AtomicU64::new(0)),
-        }
+        Cache { dir: dir.into(), key: None }
     }
 
     /// The cache honoring the environment: `IPG_CACHE_DIR` if set,
@@ -1553,40 +1421,6 @@ impl Cache {
         &self.dir
     }
 
-    /// How many invalid artifacts this cache (including clones sharing
-    /// its counter) has quarantined to `*.ipgc.bad`.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// How many [`Cache::load_or_compile`] calls loaded a fresh
-    /// artifact (shared across clones, like [`Cache::quarantined`]).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many [`Cache::load_or_compile`] calls fell back to
-    /// compiling from source.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// The shared hit counter, for registration in a metrics registry.
-    pub fn hits_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.hits)
-    }
-
-    /// The shared miss counter, for registration in a metrics registry.
-    pub fn misses_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.misses)
-    }
-
-    /// The shared quarantine counter, for registration in a metrics
-    /// registry.
-    pub fn quarantined_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.quarantined)
-    }
-
     /// The artifact path for grammar `name` with the given cache key.
     pub fn path_for(&self, name: &str, hash: u64) -> PathBuf {
         // Grammar names come from module names or file stems; sanitize so
@@ -1620,8 +1454,7 @@ impl Cache {
         let reason = match std::fs::read(&path) {
             Ok(bytes) => match self.try_load(&bytes, spec, blackboxes.clone()) {
                 Ok(cached) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    cache_totals::record_hit();
+                    cache_totals::HITS.fetch_add(1, Ordering::Relaxed);
                     return Ok((cached, CacheOutcome::Hit));
                 }
                 Err(e) => self.quarantine(&path, e.to_string()),
@@ -1629,8 +1462,7 @@ impl Cache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => MissReason::Absent,
             Err(e) => MissReason::Invalid(format!("cannot read {}: {e}", path.display())),
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        cache_totals::record_miss();
+        cache_totals::MISSES.fetch_add(1, Ordering::Relaxed);
         let cached = CachedProgram::compile(spec, blackboxes)?;
         let bytes = self.encode_for_write(spec, &cached);
         // Cache writes are best-effort: a read-only cache dir must not
@@ -1648,8 +1480,7 @@ impl Cache {
         bad.push(".bad");
         match std::fs::rename(path, PathBuf::from(bad)) {
             Ok(()) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                cache_totals::record_quarantine();
+                cache_totals::QUARANTINED.fetch_add(1, Ordering::Relaxed);
                 MissReason::Quarantined(why)
             }
             Err(_) => MissReason::Invalid(why),
@@ -1822,6 +1653,12 @@ mod tests {
         Data := bytes;
     "#;
 
+    /// Compiles `grammar` and encodes the result in one step.
+    fn encode_grammar(spec: &str, grammar: &Grammar) -> Vec<u8> {
+        let program = compile(grammar);
+        encode(spec, grammar, &program, anchor_requirement(grammar), program.size_hints())
+    }
+
     fn roundtrip(spec: &str) -> (Grammar, Artifact) {
         let g = parse_grammar(spec).unwrap();
         let bytes = encode_grammar(spec, &g);
@@ -1895,10 +1732,10 @@ mod tests {
     fn every_single_byte_corruption_is_caught() {
         let g = parse_grammar(FIG2).unwrap();
         let bytes = encode_grammar(FIG2, &g);
-        // Corrupting any payload byte must trip the checksum; corrupting
-        // the header must trip magic/version/length/hash checks. (Header
-        // fields `source_hash` are only validated against a grammar, so
-        // flip payload + structural header bytes here.)
+        // Corrupting any payload or trailer byte must trip the digest or
+        // the trailer flag check; corrupting the header must trip the
+        // magic/version/length checks. (The header's `source_hash` is only
+        // validated against a grammar, so it is skipped here.)
         for i in (0..bytes.len()).step_by(7) {
             if (8..16).contains(&i) {
                 continue; // source hash: validated by validate_against below
@@ -1965,7 +1802,6 @@ mod tests {
             matches!(outcome, CacheOutcome::Miss(MissReason::Quarantined(_))),
             "corruption must quarantine and rewrite, got {outcome:?}"
         );
-        assert_eq!(cache.quarantined(), 1);
         let mut bad = path.clone().into_os_string();
         bad.push(".bad");
         assert!(PathBuf::from(bad).exists(), "quarantined artifact must be preserved as .ipgc.bad");
@@ -1981,41 +1817,6 @@ mod tests {
         assert_ne!(a, b);
         let bb = Blackbox::new("inflate", |_| Ok(Default::default()));
         assert_ne!(source_hash(FIG2, &[]), source_hash(FIG2, std::slice::from_ref(&bb)));
-    }
-
-    /// Rewrites v2 artifact bytes as the v1 format: trailer stripped,
-    /// header version and source hash patched.
-    fn downgrade_to_v1(bytes: &[u8], spec: &str) -> Vec<u8> {
-        let mut v1 = bytes[..bytes.len() - TRAILER_MIN].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        v1[8..16].copy_from_slice(&source_hash_v(1, spec, &[]).to_le_bytes());
-        v1
-    }
-
-    #[test]
-    fn v1_artifacts_still_decode_and_validate() {
-        let g = parse_grammar(FIG2).unwrap();
-        let v1 = downgrade_to_v1(&encode_grammar(FIG2, &g), FIG2);
-        let artifact = decode(&v1).expect("v1 decode stays supported");
-        assert_eq!(artifact.version, 1);
-        // validate_against must recompute the key at the artifact's own
-        // version, not the loader's.
-        artifact.validate_against(&g).expect("version-aware source hash");
-        let reconstructed = artifact.reconstruct_grammar(Vec::new()).unwrap();
-        let vm = artifact.into_parser(&reconstructed).unwrap();
-        let mut input = vec![8u8, 0, 0, 0, 4, 0, 0, 0];
-        input.extend_from_slice(b"DATA");
-        vm.parse(&input).expect("v1 program parses");
-    }
-
-    #[test]
-    fn v1_artifacts_are_rejected_under_a_key() {
-        let g = parse_grammar(FIG2).unwrap();
-        let v1 = downgrade_to_v1(&encode_grammar(FIG2, &g), FIG2);
-        match verify(&v1, Some(b"k"), Vec::new()) {
-            Err(VerifyError::Provenance(m)) => assert!(m.contains("trailer"), "{m}"),
-            other => panic!("expected Provenance, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2055,7 +1856,6 @@ mod tests {
         let bytes = encode_grammar(FIG2, &g);
 
         let report = verify(&bytes, None, Vec::new()).expect("intact artifact verifies");
-        assert_eq!(report.version, FORMAT_VERSION);
         assert!(!report.signed && !report.mac_checked);
         assert!(report.rules > 0 && report.symbols > 0);
 
@@ -2063,12 +1863,15 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(matches!(verify(&bad_magic, None, Vec::new()), Err(VerifyError::Structural(_))));
 
-        let mut skew = bytes.clone();
-        skew[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            verify(&skew, None, Vec::new()),
-            Err(VerifyError::VersionSkew { found: 99, .. })
-        ));
+        // Every other version is skew, older ones included.
+        for v in [1u32, 2, 99] {
+            let mut skew = bytes.clone();
+            skew[4..8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(
+                verify(&skew, None, Vec::new()).unwrap_err(),
+                VerifyError::VersionSkew { found: v }
+            );
+        }
 
         // Flip a byte inside the payload: the SHA-256 digest catches it
         // before any structural decode runs.
@@ -2102,7 +1905,6 @@ mod tests {
             matches!(outcome, CacheOutcome::Miss(MissReason::Quarantined(_))),
             "unsigned hit under a key must quarantine, got {outcome:?}"
         );
-        assert_eq!(keyed.quarantined(), 1);
         let (_, outcome) = keyed.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit, "rewritten artifact is signed now");
 

@@ -63,9 +63,10 @@ pub mod watch;
 
 use fault::FaultPlan;
 use ipg_core::interp::vm::Hint;
+use ipg_core::ipgc::cache_totals;
 use ipg_core::Error;
 use pool::{Job, JobKind, Shard, Shared};
-use stats::{Counters, StatsSnapshot};
+use stats::{Counters, Kind, StatsSnapshot};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -202,77 +203,32 @@ fn install_quiet_worker_panics() {
     });
 }
 
-/// Builds the server's metrics registry: every stats counter, the
-/// admission ledger with its scrape-time in-flight derivation, the
-/// reload/quarantine counters, the process-wide artifact-cache totals,
-/// the shared-bucket latency histogram, per-worker queue depths, and —
-/// when tracing is on — the trace ring's emit/drop counters. This is
-/// the single exposition point: a counter that exists but is not
-/// registered here is invisible to every scraper, so the registration
-/// list is deliberately exhaustive over [`stats::Counters`].
-/// One registration row: metric name, help text, and the accessor
-/// picking the backing cell out of [`stats::Counters`].
-type CounterSpec = (&'static str, &'static str, fn(&stats::Counters) -> &AtomicU64);
-
+/// Builds the server's metrics registry: every row of the stats counter
+/// table ([`stats::ROWS`], counters first, then gauges), the scrape-time
+/// in-flight derivation of the admission ledger, the shared-bucket
+/// latency histogram, per-worker queue depths, the process-wide
+/// artifact-cache totals, and — when tracing is on — the trace ring's
+/// emit/drop counters. This is the single exposition point: a counter
+/// that exists but is not registered here is invisible to every scraper.
 fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
     let reg = metrics::Registry::new();
-    let counters: [CounterSpec; 18] = [
-        ("ipg_parses_ok_total", "Completed parses.", |c| &c.parses_ok),
-        ("ipg_parses_err_total", "Failed parses.", |c| &c.parses_err),
-        ("ipg_sessions_opened_total", "Streaming sessions opened.", |c| &c.sessions_opened),
-        ("ipg_sessions_closed_total", "Streaming sessions closed.", |c| &c.sessions_closed),
-        ("ipg_sessions_evicted_total", "Sessions dropped by deadline eviction.", |c| {
-            &c.sessions_evicted
-        }),
-        ("ipg_sessions_sealed_total", "Sessions sealed with GOAWAY during drain.", |c| {
-            &c.sessions_sealed
-        }),
-        ("ipg_bytes_in_total", "Input bytes accepted.", |c| &c.bytes_in),
-        ("ipg_vm_steps_total", "VM steps executed by completed work.", |c| &c.steps),
-        ("ipg_suspends_total", "Suspensions taken by streaming sessions.", |c| &c.suspends),
-        ("ipg_steals_total", "Jobs taken from another worker's queue.", |c| &c.steals),
-        ("ipg_requests_submitted_total", "Requests admitted (the ledger domain).", |c| {
-            &c.requests_submitted
-        }),
-        ("ipg_requests_completed_total", "Requests answered successfully.", |c| {
-            &c.requests_completed
-        }),
-        ("ipg_requests_shed_total", "Requests shed with BUSY/GOAWAY.", |c| &c.requests_shed),
-        ("ipg_requests_failed_total", "Requests answered with a typed error.", |c| {
-            &c.requests_failed
-        }),
-        ("ipg_panics_recovered_total", "Worker panics converted to typed replies.", |c| {
-            &c.panics_recovered
-        }),
-        ("ipg_reloads_ok_total", "Hot reloads that swapped a generation in.", |c| &c.reloads_ok),
-        ("ipg_reloads_rejected_total", "Hot reloads refused (previous generation kept).", |c| {
-            &c.reloads_rejected
-        }),
-        ("ipg_artifacts_quarantined_total", "Invalid artifacts quarantined by the watcher.", |c| {
-            &c.artifacts_quarantined
-        }),
-    ];
-    for (name, help, read) in counters {
-        let s = Arc::clone(shared);
-        reg.counter_fn(name, help, move || read(&s.counters).load(Ordering::Relaxed));
+    for kind in [Kind::Counter, Kind::Gauge] {
+        for row in stats::ROWS.iter().filter(|r| r.kind == kind) {
+            let s = Arc::clone(shared);
+            let read = move || (row.cell)(&s.counters).load(Ordering::Relaxed);
+            match kind {
+                Kind::Counter => reg.counter_fn(row.metric, row.help, read),
+                Kind::Gauge => reg.gauge_fn(row.metric, row.help, read),
+            }
+        }
     }
-    let s = Arc::clone(shared);
-    reg.gauge_fn("ipg_live_sessions", "Sessions currently live across all workers.", move || {
-        s.counters.live_sessions.load(Ordering::Relaxed)
-    });
     // The scrape-time ledger: `submitted == completed + shed + failed +
     // in_flight` holds on every scrape by construction of this gauge.
     let s = Arc::clone(shared);
     reg.gauge_fn(
         "ipg_requests_in_flight",
         "Admitted requests not yet classified (the live reconciliation gap).",
-        move || {
-            let c = &s.counters;
-            let terminal = c.requests_completed.load(Ordering::Relaxed)
-                + c.requests_shed.load(Ordering::Relaxed)
-                + c.requests_failed.load(Ordering::Relaxed);
-            c.requests_submitted.load(Ordering::Relaxed).saturating_sub(terminal)
-        },
+        move || s.counters.in_flight(),
     );
     let s = Arc::clone(shared);
     reg.histogram_fn(
@@ -289,24 +245,23 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
             s.shards.iter().enumerate().map(|(w, sh)| (w.to_string(), sh.depth() as u64)).collect()
         },
     );
-    // Artifact-cache totals are process-wide (Cache instances are
-    // created per load), owned by ipg-core and registered here as shared
-    // atomics — the producer's hot path is untouched.
-    let totals = ipg_core::ipgc::cache_totals::counters();
+    // Artifact-cache totals are process-wide statics owned by ipg-core
+    // (Cache instances are created per load); the registry reads them in
+    // place, so the producer's hot path is untouched.
     reg.register_counter_shared(
         "ipg_cache_hits_total",
         "Artifact-cache hits (program deserialized, not compiled).",
-        totals.hits,
+        &cache_totals::HITS,
     );
     reg.register_counter_shared(
         "ipg_cache_misses_total",
         "Artifact-cache misses (program compiled, artifact rewritten).",
-        totals.misses,
+        &cache_totals::MISSES,
     );
     reg.register_counter_shared(
         "ipg_cache_quarantined_total",
         "Invalid artifacts quarantined by the cache itself.",
-        totals.quarantined,
+        &cache_totals::QUARANTINED,
     );
     if let Some(t) = &shared.trace {
         let tl = Arc::clone(t);
@@ -318,7 +273,7 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
         let tl = Arc::clone(t);
         reg.counter_fn(
             "ipg_trace_dropped_total",
-            "Trace events lost to ring overflow or contention.",
+            "Trace events lost to ring overflow.",
             move || tl.dropped(),
         );
     }
@@ -479,7 +434,7 @@ impl Server {
     /// at its bound. Counted into the request ledger either way.
     fn admit_oneshot(&self, job: Job) -> Result<(), Response> {
         let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
+        Counters::add(&shared.counters.submitted, 1);
         if shared.is_draining() {
             let resp = Response::GoAway;
             if let Some(t) = &shared.trace {
@@ -550,7 +505,7 @@ impl Server {
             Err(e) => return Response::Error(e),
         };
         let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
+        Counters::add(&shared.counters.submitted, 1);
         if shared.is_draining() {
             let resp = Response::GoAway;
             if let Some(t) = &shared.trace {
@@ -704,7 +659,7 @@ impl Server {
 
     pub(crate) fn session_request(&self, id: u64, kind: JobKind) -> Response {
         let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
+        Counters::add(&shared.counters.submitted, 1);
         let kind_name = if matches!(kind, JobKind::Finish { .. }) { "finish" } else { "feed" };
         if shared.is_draining() {
             let resp = Response::GoAway;

@@ -4,20 +4,19 @@
 //! once under a stable name and exposed in Prometheus text format
 //! (version 0.0.4).
 //!
-//! Three registration shapes cover every producer in the tree:
+//! Two registration shapes cover every producer in the tree:
 //!
-//! * **owned handles** ([`Registry::counter`], [`Registry::gauge`]) —
-//!   new metrics created by the registry itself (the trace subsystem
-//!   uses these);
-//! * **shared atomics** ([`Registry::register_counter_shared`]) — an
-//!   existing `Arc<AtomicU64>` maintained elsewhere (e.g.
-//!   [`ipg_core::ipgc::Cache`] counters) is registered without moving
-//!   ownership, so the producer's hot path is untouched;
+//! * **static atomics** ([`Registry::register_counter_shared`]) — a
+//!   process-wide `static AtomicU64` maintained elsewhere (the
+//!   [`ipg_core::ipgc::cache_totals`] counters) is read in place, so the
+//!   producer's hot path is untouched;
 //! * **closures** ([`Registry::counter_fn`] / [`Registry::gauge_fn`] /
 //!   [`Registry::histogram_fn`] / [`Registry::gauge_vec_fn`]) — values
 //!   computed at scrape time from state the registry cannot own (the
-//!   pool's [`crate::stats::Counters`], per-worker queue depths, the
-//!   in-flight derivation `submitted − completed − shed − failed`).
+//!   rows of the stats counter table over the pool's
+//!   `crate::stats::Counters`, per-worker queue depths, the in-flight
+//!   derivation `submitted − completed − shed − failed`, the trace
+//!   ring's counters).
 //!
 //! Scraping never takes a producer-side lock: counters are relaxed
 //! atomic loads and the histogram is copied bucket-by-bucket, so a
@@ -31,50 +30,12 @@
 use crate::histo::{self, BUCKET_COUNT};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// A monotone counter handle. Cloning shares the underlying cell.
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n` (relaxed; the scrape is observational).
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A set-to-current-value gauge handle. Cloning shares the cell.
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Stores the current value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Where one family's sample values come from at scrape time.
 enum Source {
-    Counter(Arc<AtomicU64>),
+    Counter(&'static AtomicU64),
     CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    Gauge(Arc<AtomicU64>),
     GaugeFn(Box<dyn Fn() -> u64 + Send + Sync>),
     /// Bucket counts (exclusive log₂ upper bounds per [`crate::histo`])
     /// plus the running sum of observed values.
@@ -90,7 +51,7 @@ impl Source {
     fn type_name(&self) -> &'static str {
         match self {
             Source::Counter(_) | Source::CounterFn(_) => "counter",
-            Source::Gauge(_) | Source::GaugeFn(_) | Source::GaugeVecFn { .. } => "gauge",
+            Source::GaugeFn(_) | Source::GaugeVecFn { .. } => "gauge",
             Source::HistogramFn(_) => "histogram",
         }
     }
@@ -135,16 +96,9 @@ impl Registry {
         families.push(Family { name: name.to_owned(), help: help.to_owned(), source });
     }
 
-    /// Creates and registers a new counter, returning its handle.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let cell = Arc::new(AtomicU64::new(0));
-        self.register(name, help, Source::Counter(Arc::clone(&cell)));
-        Counter(cell)
-    }
-
-    /// Registers an existing shared atomic as a counter — the producer
-    /// keeps incrementing it exactly as before; the registry only reads.
-    pub fn register_counter_shared(&self, name: &str, help: &str, cell: Arc<AtomicU64>) {
+    /// Registers a process-wide atomic as a counter — the producer keeps
+    /// incrementing it exactly as before; the registry only reads.
+    pub fn register_counter_shared(&self, name: &str, help: &str, cell: &'static AtomicU64) {
         self.register(name, help, Source::Counter(cell));
     }
 
@@ -156,13 +110,6 @@ impl Registry {
         read: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
         self.register(name, help, Source::CounterFn(Box::new(read)));
-    }
-
-    /// Creates and registers a new gauge, returning its handle.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let cell = Arc::new(AtomicU64::new(0));
-        self.register(name, help, Source::Gauge(Arc::clone(&cell)));
-        Gauge(cell)
     }
 
     /// Registers a gauge whose value is computed at scrape time.
@@ -206,7 +153,7 @@ impl Registry {
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
             let _ = writeln!(out, "# TYPE {} {}", f.name, f.source.type_name());
             match &f.source {
-                Source::Counter(cell) | Source::Gauge(cell) => {
+                Source::Counter(cell) => {
                     let _ = writeln!(out, "{} {}", f.name, cell.load(Ordering::Relaxed));
                 }
                 Source::CounterFn(read) | Source::GaugeFn(read) => {
@@ -256,38 +203,42 @@ impl std::fmt::Debug for Registry {
 mod tests {
     use super::*;
     use crate::histo::LogHistogram;
+    use std::sync::Arc;
 
     #[test]
     fn counters_and_gauges_render_with_headers() {
         let r = Registry::new();
-        let c = r.counter("t_requests_total", "Requests seen.");
-        c.add(3);
-        let g = r.gauge("t_depth", "Current depth.");
-        g.set(7);
+        r.counter_fn("t_requests_total", "Requests seen.", || 3);
+        r.gauge_fn("t_depth", "Current depth.", || 7);
         let text = r.gather();
-        assert!(text.contains("# HELP t_requests_total Requests seen.\n"));
-        assert!(text.contains("# TYPE t_requests_total counter\n"));
-        assert!(
-            text.contains("\nt_requests_total 3\n") || text.starts_with("t_requests_total 3\n")
-        );
+        assert!(text.starts_with(
+            "# HELP t_requests_total Requests seen.\n\
+             # TYPE t_requests_total counter\n\
+             t_requests_total 3\n"
+        ));
         assert!(text.contains("# TYPE t_depth gauge\n"));
         assert!(text.contains("t_depth 7\n"));
     }
 
     #[test]
     fn shared_and_fn_sources_read_live_values() {
+        static CELL: AtomicU64 = AtomicU64::new(0);
         let r = Registry::new();
-        let cell = Arc::new(AtomicU64::new(0));
-        r.register_counter_shared("t_shared_total", "Shared cell.", Arc::clone(&cell));
-        r.counter_fn("t_derived_total", "Derived.", || 42);
-        cell.fetch_add(5, Ordering::Relaxed);
+        r.register_counter_shared("t_shared_total", "Shared cell.", &CELL);
+        let live = Arc::new(AtomicU64::new(40));
+        let l = Arc::clone(&live);
+        r.counter_fn("t_derived_total", "Derived.", move || l.load(Ordering::Relaxed) + 2);
+        CELL.fetch_add(5, Ordering::Relaxed);
         let text = r.gather();
         assert!(text.contains("t_shared_total 5\n"));
         assert!(text.contains("t_derived_total 42\n"));
         // A later scrape observes later increments: the registry reads,
         // never snapshots at registration.
-        cell.fetch_add(1, Ordering::Relaxed);
-        assert!(r.gather().contains("t_shared_total 6\n"));
+        CELL.fetch_add(1, Ordering::Relaxed);
+        live.fetch_add(1, Ordering::Relaxed);
+        let text = r.gather();
+        assert!(text.contains("t_shared_total 6\n"));
+        assert!(text.contains("t_derived_total 43\n"));
     }
 
     #[test]
@@ -324,14 +275,14 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let r = Registry::new();
-        r.counter("t_dup_total", "First.");
-        r.counter("t_dup_total", "Second.");
+        r.counter_fn("t_dup_total", "First.", || 0);
+        r.gauge_fn("t_dup_total", "Second.", || 0);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_are_rejected() {
         let r = Registry::new();
-        r.counter("0starts_with_digit", "Bad.");
+        r.counter_fn("0starts_with_digit", "Bad.", || 0);
     }
 }

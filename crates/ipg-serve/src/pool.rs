@@ -245,10 +245,10 @@ impl Shared {
         let c = &self.counters;
         match resp {
             Response::Done(_) | Response::Opened { .. } | Response::NeedInput { .. } => {
-                Counters::add(&c.requests_completed, 1);
+                Counters::add(&c.completed, 1);
             }
-            Response::Busy { .. } | Response::GoAway => Counters::add(&c.requests_shed, 1),
-            Response::Error(_) => Counters::add(&c.requests_failed, 1),
+            Response::Busy { .. } | Response::GoAway => Counters::add(&c.shed, 1),
+            Response::Error(_) => Counters::add(&c.failed, 1),
         }
         c.latency.record(accepted.elapsed());
     }

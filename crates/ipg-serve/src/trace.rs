@@ -14,13 +14,13 @@
 //! {"ts_us":140,"span":7,"event":"done","outcome":"error","latency_us":17}
 //! ```
 //!
-//! The log is a **bounded ring buffer** that never blocks the hot path:
-//! producers `try_lock` the ring and increment a drop counter instead of
-//! waiting when it is contended, and a full ring evicts its oldest line
-//! (also drop-counted) rather than growing. A [`TraceWriter`] thread
-//! drains the ring to a file (`ipg serve --trace-log`); dropping events
-//! under pressure is explicitly preferred to slowing a single request,
-//! and the drop count is exported so the loss is visible, never silent.
+//! The log is a **bounded ring buffer**: a full ring evicts its oldest
+//! line (drop-counted) rather than growing. Every critical section is
+//! amortized O(1) — a producer appends one line, and [`TraceLog::drain`] swaps the
+//! whole ring out with `std::mem::take` — so producers take the lock
+//! outright and no event is lost to contention. A [`TraceWriter`] thread
+//! drains the ring to a file (`ipg serve --trace-log`); the drop count is
+//! exported so overflow loss is visible, never silent.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -40,7 +40,7 @@ pub fn next_span() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The shared, bounded, non-blocking event ring.
+/// The shared, bounded event ring.
 #[derive(Debug)]
 pub struct TraceLog {
     ring: Mutex<VecDeque<String>>,
@@ -67,14 +67,10 @@ impl TraceLog {
         self.started.elapsed().as_micros() as u64
     }
 
-    /// Appends one pre-rendered JSON line. Never blocks: a contended
-    /// ring lock or a full ring costs one drop-counted event, not one
-    /// stalled request.
+    /// Appends one pre-rendered JSON line. A full ring evicts its
+    /// oldest line and counts the drop.
     pub fn push(&self, line: String) {
-        let Ok(mut ring) = self.ring.try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -83,11 +79,12 @@ impl TraceLog {
         self.emitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Takes every undrained line (the writer thread's read side; this
-    /// side may block on the lock — only producers must not).
+    /// Takes every undrained line (the writer thread's read side). The
+    /// ring is swapped out under the lock in O(1) and converted after
+    /// the lock is released.
     pub fn drain(&self) -> Vec<String> {
-        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.drain(..).collect()
+        let ring = std::mem::take(&mut *self.ring.lock().unwrap_or_else(PoisonError::into_inner));
+        Vec::from(ring)
     }
 
     /// Events accepted into the ring since creation.
@@ -95,7 +92,7 @@ impl TraceLog {
         self.emitted.load(Ordering::Relaxed)
     }
 
-    /// Events lost to contention or ring overflow since creation.
+    /// Events lost to ring overflow since creation.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -245,6 +242,30 @@ mod tests {
         assert_eq!(log.dropped(), 1);
         let lines = log.drain();
         assert_eq!(lines, vec!["{\"n\":2}".to_string(), "{\"n\":3}".to_string()]);
+    }
+
+    #[test]
+    fn contended_pushes_are_never_dropped() {
+        let log = Arc::new(TraceLog::new(1 << 16));
+        let producers: Vec<_> = (0..2)
+            .map(|_| {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || {
+                    for n in 0..5_000 {
+                        log.push(format!("{{\"n\":{n}}}"));
+                    }
+                })
+            })
+            .collect();
+        let mut drained = 0;
+        while !producers.iter().all(|p| p.is_finished()) {
+            drained += log.drain().len();
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        drained += log.drain().len();
+        assert_eq!((drained, log.emitted(), log.dropped()), (10_000, 10_000, 0));
     }
 
     #[test]

@@ -147,34 +147,106 @@ impl Exposition {
     }
 }
 
-/// Every stats counter must surface in the scrape under its metric name
-/// — the exhaustive list that keeps the exposition honest as counters
-/// are added.
-const EXPECTED: &[&str] = &[
-    "ipg_parses_ok_total",
-    "ipg_parses_err_total",
-    "ipg_sessions_opened_total",
-    "ipg_sessions_closed_total",
-    "ipg_sessions_evicted_total",
-    "ipg_sessions_sealed_total",
-    "ipg_live_sessions",
-    "ipg_bytes_in_total",
-    "ipg_vm_steps_total",
-    "ipg_suspends_total",
-    "ipg_steals_total",
-    "ipg_requests_submitted_total",
-    "ipg_requests_completed_total",
-    "ipg_requests_shed_total",
-    "ipg_requests_failed_total",
-    "ipg_requests_in_flight",
-    "ipg_panics_recovered_total",
-    "ipg_reloads_ok_total",
-    "ipg_reloads_rejected_total",
-    "ipg_artifacts_quarantined_total",
-    "ipg_cache_hits_total",
-    "ipg_cache_misses_total",
-    "ipg_cache_quarantined_total",
+/// Every metric family of an untraced server, in exposition order, as
+/// `(name, help, type)`: the exhaustive list that keeps the exposition
+/// honest as counters are added. A traced server appends the
+/// `ipg_trace_*` families after these.
+const FAMILIES: &[(&str, &str, &str)] = &[
+    ("ipg_parses_ok_total", "Completed parses.", "counter"),
+    ("ipg_parses_err_total", "Failed parses.", "counter"),
+    ("ipg_sessions_opened_total", "Streaming sessions opened.", "counter"),
+    ("ipg_sessions_closed_total", "Streaming sessions closed.", "counter"),
+    ("ipg_sessions_evicted_total", "Sessions dropped by deadline eviction.", "counter"),
+    ("ipg_sessions_sealed_total", "Sessions sealed with GOAWAY during drain.", "counter"),
+    ("ipg_bytes_in_total", "Input bytes accepted.", "counter"),
+    ("ipg_vm_steps_total", "VM steps executed by completed work.", "counter"),
+    ("ipg_suspends_total", "Suspensions taken by streaming sessions.", "counter"),
+    ("ipg_steals_total", "Jobs taken from another worker's queue.", "counter"),
+    ("ipg_requests_submitted_total", "Requests admitted (the ledger domain).", "counter"),
+    ("ipg_requests_completed_total", "Requests answered successfully.", "counter"),
+    ("ipg_requests_shed_total", "Requests shed with BUSY/GOAWAY.", "counter"),
+    ("ipg_requests_failed_total", "Requests answered with a typed error.", "counter"),
+    ("ipg_panics_recovered_total", "Worker panics converted to typed replies.", "counter"),
+    ("ipg_reloads_ok_total", "Hot reloads that swapped a generation in.", "counter"),
+    ("ipg_reloads_rejected_total", "Hot reloads refused (previous generation kept).", "counter"),
+    ("ipg_artifacts_quarantined_total", "Invalid artifacts quarantined by the watcher.", "counter"),
+    ("ipg_live_sessions", "Sessions currently live across all workers.", "gauge"),
+    (
+        "ipg_requests_in_flight",
+        "Admitted requests not yet classified (the live reconciliation gap).",
+        "gauge",
+    ),
+    (
+        "ipg_request_latency_us",
+        "Admission-to-reply latency, microseconds (shared log2 buckets).",
+        "histogram",
+    ),
+    ("ipg_queue_depth", "Queued jobs (pinned + stealable) per worker.", "gauge"),
+    (
+        "ipg_cache_hits_total",
+        "Artifact-cache hits (program deserialized, not compiled).",
+        "counter",
+    ),
+    (
+        "ipg_cache_misses_total",
+        "Artifact-cache misses (program compiled, artifact rewritten).",
+        "counter",
+    ),
+    (
+        "ipg_cache_quarantined_total",
+        "Invalid artifacts quarantined by the cache itself.",
+        "counter",
+    ),
 ];
+
+/// The `STATS` JSON object's keys, in wire order.
+const STATS_KEYS: &[&str] = &[
+    "parses_ok",
+    "parses_err",
+    "sessions_opened",
+    "sessions_closed",
+    "sessions_evicted",
+    "sessions_sealed",
+    "live_sessions",
+    "bytes_in",
+    "steps",
+    "suspends",
+    "steals",
+    "submitted",
+    "completed",
+    "shed",
+    "failed",
+    "panics_recovered",
+    "reloads_ok",
+    "reloads_rejected",
+    "artifacts_quarantined",
+    "latency_p50_us",
+    "latency_p99_us",
+    "elapsed_s",
+    "parses_per_s",
+    "bytes_per_s",
+    "queue_depths",
+];
+
+#[test]
+fn exposition_families_and_stats_keys_are_pinned() {
+    let server = Server::start(Config { workers: 2, ..Config::default() });
+    let headers: Vec<String> =
+        server.metrics_text().lines().filter(|l| l.starts_with('#')).map(str::to_owned).collect();
+    let expected: Vec<String> = FAMILIES
+        .iter()
+        .flat_map(|(name, help, ty)| {
+            [format!("# HELP {name} {help}"), format!("# TYPE {name} {ty}")]
+        })
+        .collect();
+    assert_eq!(headers, expected, "HELP/TYPE lines must match the pinned families in order");
+    // Every string in the STATS object is a key (values are numbers or a
+    // number array), so the odd `"`-split pieces are the keys in order.
+    let json = server.stats().to_json();
+    let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+    assert_eq!(keys, STATS_KEYS, "STATS JSON keys must match the pinned list in order");
+    server.shutdown();
+}
 
 #[test]
 fn scrape_round_trips_every_metric_and_reconciles() {
@@ -186,7 +258,7 @@ fn scrape_round_trips_every_metric_and_reconciles() {
     server.parse("zip", b"junk".to_vec()).expect_err("junk fails");
 
     let exp = parse_exposition(&server.metrics_text());
-    for name in EXPECTED {
+    for (name, _, _) in FAMILIES {
         assert!(
             exp.types.contains_key(*name),
             "metric `{name}` missing from the scrape (families: {:?})",

@@ -115,7 +115,6 @@ fn racing_cache_writers_leave_exactly_one_valid_artifact() {
         matches!(outcome, ipg_core::ipgc::CacheOutcome::Hit),
         "post-race load must hit: {outcome:?}"
     );
-    assert_eq!(cache.quarantined(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
