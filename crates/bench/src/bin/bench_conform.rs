@@ -19,7 +19,6 @@
 //! mutants/s) is informational.
 
 use bench::harness::{Cli, Report};
-use ipg_core::interp::vm::VmParser;
 use ipg_core::interp::Parser;
 use ipg_gen::{mutate::mutate, GenConfig, Generator};
 use std::time::Instant;
@@ -57,7 +56,7 @@ fn main() {
     for entry in ipg_formats::pinned_corpus() {
         let (name, g) = (entry.name.as_str(), entry.grammar());
         let parser = Parser::new(g).max_steps(FUEL);
-        let vm = VmParser::new(g).max_steps(FUEL);
+        let vm = entry.vm().clone().max_steps(FUEL);
         let generator = Generator::new(g).with_config(GenConfig::default());
         let mut row = Row { grammar: name.to_owned(), ..Default::default() };
         let mut total_len = 0usize;

@@ -10,7 +10,7 @@
 //! The memoizing semantics reuse a cached result at several call sites
 //! (the O(n²) bound of §3.3 of the paper relies on it). Arena nodes are
 //! therefore immutable once allocated: the caller-side `start`/`end`
-//! re-basing of rule T-NTSucc ([`TreeArena::adjust`]) allocates a fresh
+//! re-basing of rule T-NTSucc (`TreeArena::adjust`) allocates a fresh
 //! root record that *shares* the original children range, exactly like the
 //! interpreter's `Rc`-sharing `adjust_tree`.
 //!

@@ -61,7 +61,7 @@ pub struct PRule {
 #[derive(Clone, Copy, Debug)]
 pub enum PRuleKind {
     /// Biased choice over `count` alternatives starting at
-    /// [`Program::alts`]`[first]`.
+    /// `Program::alts[first]`.
     Alts {
         /// Index of the first alternative.
         first: u32,
@@ -78,7 +78,7 @@ pub enum PRuleKind {
 /// result-slot vector.
 #[derive(Clone, Copy, Debug)]
 pub struct PAlt {
-    /// Index of the first instruction in [`Program::code`].
+    /// Index of the first instruction in `Program::code`.
     pub first: u32,
     /// Number of instructions.
     pub count: u32,
@@ -93,7 +93,7 @@ pub struct PAlt {
 pub enum Instr {
     /// `"s"[lo, hi]` — match literal bytes inside the interval.
     Match {
-        /// Literal bytes (span into [`Program::lits`]).
+        /// Literal bytes (span into `Program::lits`).
         lit: LitSpan,
         /// Left interval endpoint.
         lo: ExprId,
@@ -154,7 +154,7 @@ pub enum Instr {
         slot: u16,
     },
     /// `switch(c1 : B1[..] / … / D[..])` — dispatch over
-    /// [`Program::cases`]`[first..first+count]` (default last).
+    /// `Program::cases[first..first+count]` (default last).
     Switch {
         /// Index of the first case.
         first: u32,

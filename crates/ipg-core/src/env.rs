@@ -4,7 +4,7 @@
 //! attribute ids to integer values through every alternative. Environments
 //! are small (a handful of attributes per rule), so they are flat sequences
 //! with linear lookup, which is faster than hashing at these sizes and keeps
-//! parse trees compact. The first [`INLINE`] bindings live inline in the
+//! parse trees compact. The first `INLINE` bindings live inline in the
 //! struct: the interpreter builds (and clones) an environment for every
 //! alternative it tries, and keeping `EOI`/`start`/`end` plus typical
 //! attribute counts out of the heap removes an allocation from that hot

@@ -11,7 +11,7 @@
 //!   the checked grammar into dense instruction/expression pools once per
 //!   grammar, so the parse loop follows `u32` ids instead of chasing
 //!   `Rc<Expr>` pointers and never hashes a name.
-//! * **Explicit work stack**: nonterminal calls push [`Frame`]s onto a
+//! * **Explicit work stack**: nonterminal calls push `Frame`s onto a
 //!   `Vec` instead of recursing, so deeply nested inputs cannot overflow
 //!   the native stack and frame storage (environments, result slots) is
 //!   recycled across calls.
@@ -59,16 +59,32 @@ use crate::check::{Grammar, NtId};
 use crate::env::{wellknown, Env};
 use crate::error::{Error, ParseError, Result};
 use crate::intern::Sym;
+use crate::ipgc::CachedProgram;
 use crate::profile::{ProfSink, ProfileReport, Profiler};
 use crate::syntax::Builtin;
 use fxhash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A configured bytecode parser for one grammar. The API mirrors
 /// [`crate::interp::Parser`]; results come back as arena-backed
 /// [`ParseTree`]s instead of `Rc<Tree>`.
-#[derive(Debug)]
+///
+/// The grammar, its compiled program and the precomputed analyses live in
+/// one shared core, so cloning a parser costs one reference-count
+/// increment. `'g` is how long the grammar is borrowed: [`VmParser::new`]
+/// borrows it, while a parser built by [`VmParser::from_compiled`] owns
+/// everything and is a self-contained `VmParser<'static>`.
+#[derive(Clone)]
 pub struct VmParser<'g> {
-    grammar: &'g Grammar,
+    core: Arc<Core<'g>>,
+    memoize: bool,
+    max_steps: Option<u64>,
+}
+
+/// What every clone of a [`VmParser`] shares.
+struct Core<'g> {
+    grammar: Cow<'g, Grammar>,
     program: Program,
     /// Pre-sizing hints derived from the program (frame nesting, pool
     /// sizes), computed once at compile time.
@@ -76,8 +92,16 @@ pub struct VmParser<'g> {
     /// What a streaming [`Session`] must hold back (see
     /// [`crate::analysis::anchor_requirement`]).
     anchor: AnchorRequirement,
-    memoize: bool,
-    max_steps: Option<u64>,
+}
+
+impl std::fmt::Debug for VmParser<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VmParser")
+            .field("start", &self.core.grammar.start_nt_name())
+            .field("memoize", &self.memoize)
+            .field("max_steps", &self.max_steps)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The result of a successful VM parse: the arena plus the root id.
@@ -107,38 +131,42 @@ impl ParseTree {
 
 impl<'g> VmParser<'g> {
     /// Compiles `grammar` and creates a parser with memoization enabled
-    /// and no step limit.
+    /// and no step limit. The parser borrows `grammar`.
     pub fn new(grammar: &'g Grammar) -> Self {
         let program = compile(grammar);
         let hints = program.size_hints();
         let anchor = anchor_requirement(grammar);
-        VmParser { program, hints, anchor, grammar, memoize: true, max_steps: None }
+        Self::with_core(Core { grammar: Cow::Borrowed(grammar), program, hints, anchor })
     }
 
-    /// Wraps an already-compiled program — typically one deserialized from
-    /// a persisted [`crate::ipgc`] artifact together with its precomputed
+    /// Wraps an already-compiled program — freshly compiled, or
+    /// deserialized from a persisted [`crate::ipgc`] artifact (see
+    /// [`crate::ipgc::Artifact::rebind`]) together with its precomputed
     /// anchor classification and size hints — skipping the compile step.
-    /// `grammar` must be the grammar the program was compiled from (the
-    /// artifact loader verifies this; see
-    /// [`crate::ipgc::Artifact::into_parser`]).
-    pub fn from_compiled(
-        grammar: &'g Grammar,
-        program: Program,
-        anchor: AnchorRequirement,
-        hints: SizeHints,
-    ) -> Self {
-        VmParser { program, hints, anchor, grammar, memoize: true, max_steps: None }
+    /// The parser takes ownership of the grammar.
+    pub fn from_compiled(compiled: CachedProgram) -> VmParser<'static> {
+        let CachedProgram { grammar, program, anchor, hints, .. } = compiled;
+        VmParser::with_core(Core { grammar: Cow::Owned(grammar), program, hints, anchor })
+    }
+
+    fn with_core(core: Core<'g>) -> Self {
+        VmParser { core: Arc::new(core), memoize: true, max_steps: None }
+    }
+
+    /// The checked grammar the program was compiled from.
+    pub fn grammar(&self) -> &Grammar {
+        &self.core.grammar
     }
 
     /// The compiled program (e.g. for [`Program::disassemble`]).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.core.program
     }
 
     /// The grammar's [`AnchorRequirement`]: what a [`Session`] must hold
     /// back before the parse can run to completion.
     pub fn anchor(&self) -> AnchorRequirement {
-        self.anchor
+        self.core.anchor
     }
 
     /// Enables or disables memoization (mirror of
@@ -163,7 +191,7 @@ impl<'g> VmParser<'g> {
     /// input does not match — the same error the reference interpreter
     /// reports.
     pub fn parse(&self, input: &[u8]) -> Result<ParseTree> {
-        self.parse_from(self.program.start_nt(), input)
+        self.parse_from(self.core.program.start_nt(), input)
     }
 
     /// Parses `input` from an explicit start nonterminal.
@@ -174,7 +202,7 @@ impl<'g> VmParser<'g> {
     /// is not a nonterminal of the grammar.
     pub fn parse_from_name(&self, name: &str, input: &[u8]) -> Result<ParseTree> {
         let nt = self
-            .grammar
+            .grammar()
             .nt_id(name)
             .ok_or_else(|| Error::Grammar(format!("unknown nonterminal `{name}`")))?;
         self.parse_from(nt, input)
@@ -196,13 +224,14 @@ impl<'g> VmParser<'g> {
     /// reflect each engine's own policy — the VM does not memoize builtin
     /// leaf rules.
     pub fn parse_with_stats(&self, input: &[u8]) -> (Result<ParseTree>, ParseStats) {
-        self.run_one_shot(self.fresh_session(input), self.program.start_nt(), FuelMsg::Short)
+        self.run_one_shot(self.fresh_session(input), self.core.program.start_nt(), FuelMsg::Short)
     }
 
     /// Opens a streaming [`Session`]: input arrives incrementally via
     /// [`Session::feed`], the parse runs as far as the buffered prefix
-    /// allows, and [`Session::finish`] signals end-of-input.
-    pub fn streaming(&self) -> Session<'_> {
+    /// allows, and [`Session::finish`] signals end-of-input. The session
+    /// holds its own clone of this parser.
+    pub fn streaming(&self) -> Session<'g> {
         Session::new(self)
     }
 
@@ -212,8 +241,8 @@ impl<'g> VmParser<'g> {
     /// consumes the parser) while still bounding hostile inputs.
     pub fn parse_bounded(&self, input: &[u8], max_steps: u64) -> (Result<ParseTree>, ParseStats) {
         let mut sess = self.fresh_session(input);
-        sess.max_steps = max_steps;
-        self.run_one_shot(sess, self.program.start_nt(), FuelMsg::Verbose)
+        sess.m.max_steps = max_steps;
+        self.run_one_shot(sess, self.core.program.start_nt(), FuelMsg::Verbose)
     }
 
     /// Like [`VmParser::parse`], but runs with the [`crate::profile`]
@@ -225,10 +254,11 @@ impl<'g> VmParser<'g> {
     /// `parse*` family monomorphizes with the no-op sink and is
     /// unaffected.
     pub fn parse_profiled(&self, input: &[u8]) -> (Result<ParseTree>, ParseStats, ProfileReport) {
-        let mut prof = Profiler::new(self.program.rule_count(), self.program.instr_count());
+        let p = self.program();
+        let mut prof = Profiler::new(p.rule_count(), p.instr_count());
         let sess = self.fresh_session_with(input, &mut prof);
-        let (result, stats) = self.run_one_shot(sess, self.program.start_nt(), FuelMsg::Verbose);
-        let report = ProfileReport::build(self.grammar, &self.program, prof);
+        let (result, stats) = self.run_one_shot(sess, p.start_nt(), FuelMsg::Verbose);
+        let report = ProfileReport::build(self.grammar(), p, prof);
         (result, stats, report)
     }
 
@@ -245,18 +275,14 @@ impl<'g> VmParser<'g> {
     ) -> (Result<ParseTree>, ParseStats) {
         let result = match sess.run_root(nt) {
             Ok(Some(root)) => {
-                let stats = sess.stats();
-                return (Ok(ParseTree { arena: sess.arena, root }), stats);
+                let stats = sess.m.stats();
+                return (Ok(ParseTree { arena: sess.m.arena, root }), stats);
             }
-            Ok(None) => Err(Error::Parse(sess.deepest.clone())),
-            Err(Abort::FuelExhausted) => Err(Error::Parse(ParseError {
-                offset: sess.deepest.offset,
-                nonterminal: sess.deepest.nonterminal.clone(),
-                msg: fuel_msg.render(sess.max_steps),
-            })),
+            Ok(None) => Err(Error::Parse(sess.m.deepest.clone())),
+            Err(Abort::FuelExhausted) => Err(Error::Parse(sess.m.fuel_error(fuel_msg))),
             Err(Abort::Suspend) => unreachable!("one-shot sessions never suspend"),
         };
-        let stats = sess.stats();
+        let stats = sess.m.stats();
         (result, stats)
     }
 
@@ -264,20 +290,26 @@ impl<'g> VmParser<'g> {
         self.fresh_session_with(input, ())
     }
 
+    /// A one-shot machine over `input`, borrowing this parser's grammar
+    /// and program for the duration of the parse.
     fn fresh_session_with<I: AsRef<[u8]>, PS: ProfSink>(
         &self,
         input: I,
         prof: PS,
     ) -> VmSession<'_, I, PS> {
+        VmSession { g: self.grammar(), p: self.program(), m: self.machine(input, prof) }
+    }
+
+    /// Fresh machine state over `input`.
+    fn machine<I: AsRef<[u8]>, PS: ProfSink>(&self, input: I, prof: PS) -> Machine<I, PS> {
+        let core = &*self.core;
         // Memo mirror of the interpreter's pre-sizing heuristic; arena and
         // frame stack are pre-sized from compile-time program statistics
         // (instruction counts, static call-graph nesting).
-        let memo_capacity = if self.memoize { 8 * self.grammar.nt_count() } else { 0 };
-        VmSession {
-            g: self.grammar,
-            p: &self.program,
+        let memo_capacity = if self.memoize { 8 * core.grammar.nt_count() } else { 0 };
+        Machine {
             input,
-            arena: TreeArena::with_hints(self.program.nt_table(), &self.hints),
+            arena: TreeArena::with_hints(core.program.nt_table(), &core.hints),
             memo: FxHashMap::with_capacity_and_hasher(memo_capacity, Default::default()),
             builtin_failures: FxHashSet::default(),
             memoize: self.memoize,
@@ -285,7 +317,7 @@ impl<'g> VmParser<'g> {
             memo_hits: 0,
             max_steps: self.max_steps.unwrap_or(u64::MAX),
             deepest: ParseError { offset: 0, nonterminal: None, msg: "no progress".into() },
-            frames: Vec::with_capacity(self.hints.frames),
+            frames: Vec::with_capacity(core.hints.frames),
             depth: 0,
             scratch: Vec::new(),
             complete: true,
@@ -448,9 +480,18 @@ impl Default for Frame {
     }
 }
 
+/// A running machine: the state of one parse plus the grammar and
+/// program it executes, borrowed for the duration of the run. One-shot
+/// parses build it in place; a streaming [`Session`] re-assembles it
+/// around its parked [`Machine`] for each call.
 struct VmSession<'p, I, PS: ProfSink = ()> {
     g: &'p Grammar,
     p: &'p Program,
+    m: Machine<I, PS>,
+}
+
+/// The owned state of one parse: everything a [`VmSession`] mutates.
+struct Machine<I, PS: ProfSink = ()> {
     /// The input bytes: a borrowed slice for one-shot parses, an owned
     /// growing buffer for streaming [`Session`]s.
     input: I,
@@ -498,7 +539,7 @@ struct VmSession<'p, I, PS: ProfSink = ()> {
     prof: PS,
 }
 
-impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
+impl<I: AsRef<[u8]>, PS: ProfSink> Machine<I, PS> {
     fn stats(&self) -> ParseStats {
         ParseStats { steps: self.steps, memo_hits: self.memo_hits, memo_entries: self.memo.len() }
     }
@@ -509,10 +550,34 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         self.input.as_ref()
     }
 
+    /// Seals the open root frame once the total input length is known:
+    /// the placeholder length and environment become real, and every
+    /// suspension gate turns off (`complete` flips in the caller).
+    fn seal_root(&mut self) {
+        if !self.root_open || self.depth == 0 {
+            return;
+        }
+        let len = self.bytes().len();
+        let f = &mut self.frames[0];
+        f.len = len;
+        f.env.seal(len as i64);
+    }
+
+    /// The fuel-exhaustion error, located at the deepest failure so far.
+    fn fuel_error(&self, fuel_msg: FuelMsg) -> ParseError {
+        ParseError {
+            offset: self.deepest.offset,
+            nonterminal: self.deepest.nonterminal.clone(),
+            msg: fuel_msg.render(self.max_steps),
+        }
+    }
+}
+
+impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     #[inline]
     fn tick(&mut self) -> PResult<()> {
-        self.steps += 1;
-        if self.steps > self.max_steps {
+        self.m.steps += 1;
+        if self.m.steps > self.m.max_steps {
             Err(Abort::FuelExhausted)
         } else {
             Ok(())
@@ -520,16 +585,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 
     fn record_failure(&mut self, offset: usize, nt: NtId, msg: impl FnOnce(&Grammar) -> String) {
-        if offset >= self.deepest.offset {
+        if offset >= self.m.deepest.offset {
             let g = self.g;
-            self.deepest =
+            self.m.deepest =
                 ParseError { offset, nonterminal: Some(g.nt_name(nt).to_owned()), msg: msg(g) };
         }
     }
 
     /// Drives the machine from a root invocation of `nt` to completion.
     fn run_root(&mut self, nt: NtId) -> PResult<Option<TreeId>> {
-        let len = self.bytes().len();
+        let len = self.m.bytes().len();
         let flow = match self.begin_call(nt, 0, len, NO_PARENT)? {
             CallOutcome::Done(r) => return Ok(r),
             CallOutcome::Pushed => Flow::Exec,
@@ -564,10 +629,10 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             return Ok(false);
         }
         let alt = p.alts[first as usize];
-        if self.depth == self.frames.len() {
-            self.frames.push(Frame::default());
+        if self.m.depth == self.m.frames.len() {
+            self.m.frames.push(Frame::default());
         }
-        let f = &mut self.frames[self.depth];
+        let f = &mut self.m.frames[self.m.depth];
         f.nt = nt;
         f.base = 0;
         f.len = 0; // placeholder until sealed; gated reads suspend instead
@@ -580,25 +645,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         f.results.clear();
         f.results.resize(alt.n_slots as usize, None);
         f.parent = NO_PARENT;
-        f.memoizable = self.memoize && !p.rules[nt.0 as usize].is_local;
+        f.memoizable = self.m.memoize && !p.rules[nt.0 as usize].is_local;
         f.pending = Pending::None;
-        self.depth += 1;
-        self.root_open = true;
-        self.prof.enter(nt);
+        self.m.depth += 1;
+        self.m.root_open = true;
+        self.m.prof.enter(nt);
         Ok(true)
-    }
-
-    /// Seals the open root frame once the total input length is known:
-    /// the placeholder length and environment become real, and every
-    /// suspension gate turns off (`complete` flips in the caller).
-    fn seal_root(&mut self) {
-        if !self.root_open || self.depth == 0 {
-            return;
-        }
-        let len = self.bytes().len();
-        let f = &mut self.frames[0];
-        f.len = len;
-        f.env.seal(len as i64);
     }
 
     /// `s ⊢ A ⇓ R` at `(base, len)`: memo lookup, then direct evaluation
@@ -611,7 +663,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         parent: u32,
     ) -> PResult<CallOutcome> {
         self.tick()?;
-        self.prof.call(nt);
+        self.m.prof.call(nt);
         let p = self.p;
         let rule = &p.rules[nt.0 as usize];
         // Builtins are never memoized by the VM: re-decoding a fixed-width
@@ -620,47 +672,47 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         // ticks). The interpreter memoizes them; only the two engines'
         // memo statistics differ, never steps, trees, or errors.
         if let PRuleKind::Builtin(b) = rule.kind {
-            let memoizable = self.memoize && !rule.is_local;
-            self.prof.enter(nt);
+            let memoizable = self.m.memoize && !rule.is_local;
+            self.m.prof.enter(nt);
             let r = self.builtin_result(nt, b, base, len, memoizable);
-            self.prof.exit(nt, r.is_some());
+            self.m.prof.exit(nt, r.is_some());
             return Ok(CallOutcome::Done(r));
         }
-        let memoizable = self.memoize && !rule.is_local;
+        let memoizable = self.m.memoize && !rule.is_local;
         if memoizable {
-            if let Some(cached) = self.memo.get(&(nt, base, len)) {
+            if let Some(cached) = self.m.memo.get(&(nt, base, len)) {
                 let cached = *cached;
-                self.memo_hits += 1;
-                self.prof.memo(nt, true);
+                self.m.memo_hits += 1;
+                self.m.prof.memo(nt, true);
                 return Ok(CallOutcome::Done(cached));
             }
-            self.prof.memo(nt, false);
+            self.m.prof.memo(nt, false);
         }
         match rule.kind {
             PRuleKind::Builtin(_) => unreachable!("handled above"),
             PRuleKind::Blackbox(idx) => {
-                self.prof.enter(nt);
+                self.m.prof.enter(nt);
                 let r = self.blackbox_result(nt, idx as usize, base, len);
-                self.prof.exit(nt, r.is_some());
+                self.m.prof.exit(nt, r.is_some());
                 if memoizable {
-                    self.memo.insert((nt, base, len), r);
+                    self.m.memo.insert((nt, base, len), r);
                 }
                 Ok(CallOutcome::Done(r))
             }
             PRuleKind::Alts { first, count } => {
                 if count == 0 {
-                    self.prof.enter(nt);
-                    self.prof.exit(nt, false);
+                    self.m.prof.enter(nt);
+                    self.m.prof.exit(nt, false);
                     if memoizable {
-                        self.memo.insert((nt, base, len), None);
+                        self.m.memo.insert((nt, base, len), None);
                     }
                     return Ok(CallOutcome::Done(None));
                 }
                 let alt = p.alts[first as usize];
-                if self.depth == self.frames.len() {
-                    self.frames.push(Frame::default());
+                if self.m.depth == self.m.frames.len() {
+                    self.m.frames.push(Frame::default());
                 }
-                let f = &mut self.frames[self.depth];
+                let f = &mut self.m.frames[self.m.depth];
                 f.nt = nt;
                 f.base = base;
                 f.len = len;
@@ -675,8 +727,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 f.parent = parent;
                 f.memoizable = memoizable;
                 f.pending = Pending::None;
-                self.depth += 1;
-                self.prof.enter(nt);
+                self.m.depth += 1;
+                self.m.prof.enter(nt);
                 Ok(CallOutcome::Pushed)
             }
         }
@@ -690,7 +742,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         len: usize,
         memoizable: bool,
     ) -> Option<TreeId> {
-        let local = &self.input.as_ref()[base..base + len];
+        let local = &self.m.input.as_ref()[base..base + len];
         match run_builtin(b, local) {
             Some((val, consumed)) => {
                 let mut env = Env::initial(len);
@@ -698,14 +750,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 // `val` is absent from the fresh environment; append it
                 // without the membership scan `set` would do.
                 env.push_scope(wellknown::VAL, val);
-                let leaf = self.arena.alloc_leaf(base, base + consumed);
-                Some(self.arena.alloc_node(nt, env, &[leaf], base, len, 0))
+                let leaf = self.m.arena.alloc_leaf(base, base + consumed);
+                Some(self.m.arena.alloc_node(nt, env, &[leaf], base, len, 0))
             }
             None => {
                 // Where the interpreter's memo would make a repeated
                 // failure a silent hit, suppress the duplicate recording
                 // so the deepest-failure error stays identical.
-                if !memoizable || self.builtin_failures.insert((nt, base, len)) {
+                if !memoizable || self.m.builtin_failures.insert((nt, base, len)) {
                     self.record_failure(base, nt, |_| format!("builtin `{b}` failed"));
                 }
                 None
@@ -716,7 +768,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn blackbox_result(&mut self, nt: NtId, idx: usize, base: usize, len: usize) -> Option<TreeId> {
         let g = self.g;
         let bb = &g.blackboxes()[idx];
-        let local = &self.input.as_ref()[base..base + len];
+        let local = &self.m.input.as_ref()[base..base + len];
         match (bb.run)(local) {
             Ok(res) => {
                 let mut env = Env::initial(len);
@@ -727,7 +779,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                         env.set(sym, *value);
                     }
                 }
-                Some(self.arena.alloc_blackbox(nt, env, res.data.into(), base, len))
+                Some(self.m.arena.alloc_blackbox(nt, env, res.data.into(), base, len))
             }
             Err(msg) => {
                 self.record_failure(base, nt, |_| format!("blackbox failed: {msg}"));
@@ -740,16 +792,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// call, completes, or fails.
     fn exec_top(&mut self) -> PResult<Flow> {
         loop {
-            let fi = self.depth - 1;
+            let fi = self.m.depth - 1;
             let (ip, ip_end) = {
-                let f = &self.frames[fi];
+                let f = &self.m.frames[fi];
                 (f.ip, f.ip_end)
             };
             let flow = if ip == ip_end {
                 self.complete_top()?
             } else {
                 self.tick()?;
-                self.prof.instr(ip);
+                self.m.prof.instr(ip);
                 match self.p.code[ip as usize] {
                     Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot)?,
                     Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot)?,
@@ -777,8 +829,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// The current alternative failed: try the next one, or fail the rule.
     fn fail_alt(&mut self, fi: usize) -> Flow {
         let p = self.p;
-        let open = fi == 0 && self.root_open && !self.complete;
-        let f = &mut self.frames[fi];
+        let open = fi == 0 && self.m.root_open && !self.m.complete;
+        let f = &mut self.m.frames[fi];
         f.alt_cursor += 1;
         if f.alt_cursor < f.alts_end {
             let alt = p.alts[f.alt_cursor as usize];
@@ -790,16 +842,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             f.pending = Pending::None;
             Flow::Exec
         } else {
-            self.depth -= 1;
-            let f = &mut self.frames[self.depth];
+            self.m.depth -= 1;
+            let f = &mut self.m.frames[self.m.depth];
             f.pending = Pending::None;
             if f.memoizable {
                 let key = (f.nt, f.base, f.len);
-                self.memo.insert(key, None);
+                self.m.memo.insert(key, None);
             }
-            let failed = self.frames[self.depth].nt;
-            self.prof.exit(failed, false);
-            if self.depth == 0 {
+            let failed = self.m.frames[self.m.depth].nt;
+            self.m.prof.exit(failed, false);
+            if self.m.depth == 0 {
                 Flow::Done(None)
             } else {
                 Flow::Deliver(None)
@@ -814,25 +866,25 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// arrive. The caller sees this as a suspension (no step to rewind —
     /// completion does not tick).
     fn complete_top(&mut self) -> PResult<Flow> {
-        if self.depth == 1 && self.root_open && !self.complete {
+        if self.m.depth == 1 && self.m.root_open && !self.m.complete {
             return self.suspended(Hint::UntilEnd, 0, ResumeKind::Exec);
         }
-        self.depth -= 1;
-        let f = &mut self.frames[self.depth];
+        self.m.depth -= 1;
+        let f = &mut self.m.frames[self.m.depth];
         let env = std::mem::take(&mut f.env);
         let (nt, base, len) = (f.nt, f.base, f.len);
         let alt_index = f.alt_cursor - f.alts_first;
         let memoizable = f.memoizable;
         f.pending = Pending::None;
-        self.prof.exit(nt, true);
-        self.scratch.clear();
-        let f = &self.frames[self.depth];
-        self.scratch.extend(f.results.iter().flatten().copied());
-        let id = self.arena.alloc_node(nt, env, &self.scratch, base, len, alt_index);
+        self.m.prof.exit(nt, true);
+        self.m.scratch.clear();
+        let f = &self.m.frames[self.m.depth];
+        self.m.scratch.extend(f.results.iter().flatten().copied());
+        let id = self.m.arena.alloc_node(nt, env, &self.m.scratch, base, len, alt_index);
         if memoizable {
-            self.memo.insert((nt, base, len), Some(id));
+            self.m.memo.insert((nt, base, len), Some(id));
         }
-        if self.depth == 0 {
+        if self.m.depth == 0 {
             Ok(Flow::Done(Some(id)))
         } else {
             Ok(Flow::Deliver(Some(id)))
@@ -845,14 +897,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// [`VmSession::suspend`] (gated evaluations do that themselves).
     #[cold]
     fn suspend_here(&mut self, rewind: u64, resume: ResumeKind) -> Abort {
-        debug_assert!(self.suspend.is_some());
-        self.steps -= rewind;
-        self.suspend_count += 1;
-        if self.depth > 0 {
-            let pc = self.frames[self.depth - 1].ip;
-            self.prof.suspend(pc);
+        debug_assert!(self.m.suspend.is_some());
+        self.m.steps -= rewind;
+        self.m.suspend_count += 1;
+        if self.m.depth > 0 {
+            let pc = self.m.frames[self.m.depth - 1].ip;
+            self.m.prof.suspend(pc);
         }
-        self.resume = resume;
+        self.m.resume = resume;
         Abort::Suspend
     }
 
@@ -860,7 +912,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// through a gated evaluation, e.g. a blocked root completion).
     #[cold]
     fn suspended(&mut self, hint: Hint, rewind: u64, resume: ResumeKind) -> PResult<Flow> {
-        self.suspend = Some(hint);
+        self.m.suspend = Some(hint);
         Err(self.suspend_here(rewind, resume))
     }
 
@@ -874,8 +926,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     /// A child call finished; resume the pending term of the top frame.
     fn resolve_top(&mut self, ret: Option<TreeId>) -> PResult<Flow> {
-        let fi = self.depth - 1;
-        match std::mem::replace(&mut self.frames[fi].pending, Pending::None) {
+        let fi = self.m.depth - 1;
+        match std::mem::replace(&mut self.m.frames[fi].pending, Pending::None) {
             Pending::Call { slot, l } => self.finish_call(fi, slot, l, ret),
             Pending::Loop(mut st) => match ret {
                 Some(sub) => {
@@ -883,7 +935,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     self.loop_next(fi, st)
                 }
                 None => {
-                    self.frames[fi].env.pop_scope();
+                    self.m.frames[fi].env.pop_scope();
                     Ok(self.fail_alt(fi))
                 }
             },
@@ -910,11 +962,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
-            if self.suspend.is_some() {
+            if self.m.suspend.is_some() {
                 return self.suspend_instr();
             }
             self.record_failure(base, nt, |_| "invalid terminal interval".into());
@@ -930,14 +982,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         }
         let al = base + l as usize;
         let bytes = &self.p.lits[lit.start as usize..lit.start as usize + blen];
-        if self.bytes()[al..al + blen] != *bytes {
+        if self.m.bytes()[al..al + blen] != *bytes {
             self.record_failure(al, nt, |_| {
                 format!("terminal mismatch (expected {})", super::preview(bytes))
             });
             return Ok(self.fail_alt(fi));
         }
-        let leaf = self.arena.alloc_leaf(al, al + blen);
-        let f = &mut self.frames[fi];
+        let leaf = self.m.arena.alloc_leaf(al, al + blen);
+        let f = &mut self.m.frames[fi];
         f.env.fast_upd_start_end(l, r, blen != 0);
         f.results[slot as usize] = Some(leaf);
         f.ip += 1;
@@ -947,17 +999,17 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn exec_set(&mut self, fi: usize, attr: Sym, expr: ExprId) -> PResult<Flow> {
         match self.eval(expr, fi) {
             Some(v) => {
-                let f = &mut self.frames[fi];
+                let f = &mut self.m.frames[fi];
                 f.env.set(attr, v);
                 f.ip += 1;
                 Ok(Flow::Exec)
             }
             None => {
-                if self.suspend.is_some() {
+                if self.m.suspend.is_some() {
                     return self.suspend_instr();
                 }
                 let (base, nt) = {
-                    let f = &self.frames[fi];
+                    let f = &self.m.frames[fi];
                     (f.base, f.nt)
                 };
                 self.record_failure(base, nt, |g| {
@@ -970,12 +1022,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     fn exec_guard(&mut self, fi: usize, expr: ExprId) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.nt)
         };
         match self.eval(expr, fi) {
             Some(v) if v != 0 => {
-                self.frames[fi].ip += 1;
+                self.m.frames[fi].ip += 1;
                 Ok(Flow::Exec)
             }
             Some(_) => {
@@ -983,7 +1035,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 Ok(self.fail_alt(fi))
             }
             None => {
-                if self.suspend.is_some() {
+                if self.m.suspend.is_some() {
                     return self.suspend_instr();
                 }
                 self.record_failure(base, nt, |_| "predicate evaluation failed".into());
@@ -1003,11 +1055,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
-            if self.suspend.is_some() {
+            if self.m.suspend.is_some() {
                 return self.suspend_instr();
             }
             self.record_failure(base, nt, |g| {
@@ -1018,7 +1070,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let parent = if self.p.rules[callee.0 as usize].is_local { fi as u32 } else { NO_PARENT };
         match self.begin_call(callee, base + l as usize, (r - l) as usize, parent)? {
             CallOutcome::Pushed => {
-                self.frames[fi].pending = Pending::Call { slot, l };
+                self.m.frames[fi].pending = Pending::Call { slot, l };
                 Ok(Flow::Exec)
             }
             CallOutcome::Done(res) => self.finish_call(fi, slot, l, res),
@@ -1030,9 +1082,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn finish_call(&mut self, fi: usize, slot: u16, l: i64, ret: Option<TreeId>) -> PResult<Flow> {
         match ret {
             Some(sub) => {
-                let (cs, ce) = self.arena.start_end(sub);
-                let adjusted = self.arena.adjust(sub, l);
-                let f = &mut self.frames[fi];
+                let (cs, ce) = self.m.arena.start_end(sub);
+                let adjusted = self.m.arena.adjust(sub, l);
+                let f = &mut self.m.frames[fi];
                 f.env.fast_upd_start_end(l + cs, l + ce, ce != 0);
                 f.results[slot as usize] = Some(adjusted);
                 f.ip += 1;
@@ -1055,13 +1107,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, len, caller) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.len, f.nt)
         };
         let (i, j) = match (self.eval(from, fi), self.eval(to, fi)) {
             (Some(i), Some(j)) => (i, j),
             _ => {
-                if self.suspend.is_some() {
+                if self.m.suspend.is_some() {
                     return self.suspend_instr();
                 }
                 self.record_failure(base, caller, |_| "array bounds evaluation failed".into());
@@ -1072,7 +1124,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         if j > i {
             elems.reserve((j - i).min(len as i64 + 1) as usize);
         }
-        self.frames[fi].env.push_scope(var, i);
+        self.m.frames[fi].env.push_scope(var, i);
         self.loop_next(fi, LoopSt { slot, var, k: i, j, nt, lo, hi, l: 0, elems })
     }
 
@@ -1081,31 +1133,31 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn loop_next(&mut self, fi: usize, mut st: LoopSt) -> PResult<Flow> {
         loop {
             if st.k >= st.j {
-                self.frames[fi].env.pop_scope();
-                let id = self.arena.alloc_array(st.nt, &st.elems);
-                let f = &mut self.frames[fi];
+                self.m.frames[fi].env.pop_scope();
+                let id = self.m.arena.alloc_array(st.nt, &st.elems);
+                let f = &mut self.m.frames[fi];
                 f.results[st.slot as usize] = Some(id);
                 f.ip += 1;
                 return Ok(Flow::Exec);
             }
             self.tick()?;
-            self.frames[fi].env.set_top(st.var, st.k);
+            self.m.frames[fi].env.set_top(st.var, st.k);
             let (base, caller) = {
-                let f = &self.frames[fi];
+                let f = &self.m.frames[fi];
                 (f.base, f.nt)
             };
             let Some((l, r)) = self.eval_interval(st.lo, st.hi, fi) else {
-                if self.suspend.is_some() {
+                if self.m.suspend.is_some() {
                     // Stash the iteration state; resume re-enters this
                     // loop step (re-paying the iteration tick rewound
                     // here). The pushed loop-variable scope stays.
-                    self.frames[fi].pending = Pending::Loop(st);
+                    self.m.frames[fi].pending = Pending::Loop(st);
                     return Err(self.suspend_here(1, ResumeKind::LoopIter));
                 }
                 self.record_failure(base, caller, |g| {
                     format!("invalid interval for `{}`", g.nt_name(st.nt))
                 });
-                self.frames[fi].env.pop_scope();
+                self.m.frames[fi].env.pop_scope();
                 return Ok(self.fail_alt(fi));
             };
             st.l = l;
@@ -1113,12 +1165,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
             match self.begin_call(st.nt, base + l as usize, (r - l) as usize, parent)? {
                 CallOutcome::Pushed => {
-                    self.frames[fi].pending = Pending::Loop(st);
+                    self.m.frames[fi].pending = Pending::Loop(st);
                     return Ok(Flow::Exec);
                 }
                 CallOutcome::Done(Some(sub)) => self.loop_push(fi, &mut st, sub),
                 CallOutcome::Done(None) => {
-                    self.frames[fi].env.pop_scope();
+                    self.m.frames[fi].env.pop_scope();
                     return Ok(self.fail_alt(fi));
                 }
             }
@@ -1128,9 +1180,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// Accept one delivered loop element (mirror of the interpreter's
     /// per-iteration `call_nt_on_interval` tail).
     fn loop_push(&mut self, fi: usize, st: &mut LoopSt, sub: TreeId) {
-        let (cs, ce) = self.arena.start_end(sub);
-        let adjusted = self.arena.adjust(sub, st.l);
-        let f = &mut self.frames[fi];
+        let (cs, ce) = self.m.arena.start_end(sub);
+        let adjusted = self.m.arena.adjust(sub, st.l);
+        let f = &mut self.m.frames[fi];
         f.env.fast_upd_start_end(st.l + cs, st.l + ce, ce != 0);
         st.elems.push(adjusted);
         st.k += 1;
@@ -1145,11 +1197,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, caller) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
-            if self.suspend.is_some() {
+            if self.m.suspend.is_some() {
                 return self.suspend_instr();
             }
             self.record_failure(base, caller, |_| "invalid star interval".into());
@@ -1179,7 +1231,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
             match self.begin_call(st.nt, st.star_base + st.pos, st.star_len - st.pos, parent)? {
                 CallOutcome::Pushed => {
-                    self.frames[fi].pending = Pending::Star(st);
+                    self.m.frames[fi].pending = Pending::Star(st);
                     return Ok(Flow::Exec);
                 }
                 CallOutcome::Done(Some(sub)) => {
@@ -1195,8 +1247,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// Accept one delivered repetition; returns `false` when the
     /// repetition made no progress (which ends the star after it).
     fn star_push(&mut self, st: &mut StarSt, sub: TreeId) -> bool {
-        let (_, ce) = self.arena.start_end(sub);
-        let adjusted = self.arena.adjust(sub, st.pos as i64 + st.l);
+        let (_, ce) = self.m.arena.start_end(sub);
+        let adjusted = self.m.arena.adjust(sub, st.pos as i64 + st.l);
         st.elems.push(adjusted);
         if ce == 0 {
             return false;
@@ -1206,15 +1258,15 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 
     fn finish_star(&mut self, fi: usize, st: StarSt) -> Flow {
-        let caller = self.frames[fi].nt;
+        let caller = self.m.frames[fi].nt;
         if st.elems.is_empty() {
             self.record_failure(st.star_base, caller, |g| {
                 format!("star needs at least one `{}`", g.nt_name(st.nt))
             });
             return self.fail_alt(fi);
         }
-        let id = self.arena.alloc_array(st.nt, &st.elems);
-        let f = &mut self.frames[fi];
+        let id = self.m.arena.alloc_array(st.nt, &st.elems);
+        let f = &mut self.m.frames[fi];
         f.env.fast_upd_start_end(st.l, st.l + st.pos as i64, st.pos > 0);
         f.results[st.slot as usize] = Some(id);
         f.ip += 1;
@@ -1223,7 +1275,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     fn exec_switch(&mut self, fi: usize, first: u32, count: u16, slot: u16) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.m.frames[fi];
             (f.base, f.nt)
         };
         let p = self.p;
@@ -1247,7 +1299,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         match selected {
             Some(case) => self.dispatch_call(fi, case.nt, case.lo, case.hi, slot),
             None => {
-                if self.suspend.is_some() {
+                if self.m.suspend.is_some() {
                     return self.suspend_instr();
                 }
                 self.record_failure(base, nt, |_| "switch guard evaluation failed".into());
@@ -1267,18 +1319,18 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn eval_interval(&mut self, lo: ExprId, hi: ExprId, fi: usize) -> Option<(i64, i64)> {
         let l = self.eval(lo, fi)?;
         let r = self.eval(hi, fi)?;
-        if fi == 0 && self.root_open && !self.complete {
+        if fi == 0 && self.m.root_open && !self.m.complete {
             if !(0 <= l && l <= r) {
                 return None;
             }
-            let avail = self.bytes().len() as i64;
+            let avail = self.m.bytes().len() as i64;
             if r > avail {
-                self.suspend = Some(Hint::Bytes((r - avail) as usize));
+                self.m.suspend = Some(Hint::Bytes((r - avail) as usize));
                 return None;
             }
             return Some((l, r));
         }
-        let len = self.frames[fi].len;
+        let len = self.m.frames[fi].len;
         if 0 <= l && l <= r && r <= len as i64 {
             Some((l, r))
         } else {
@@ -1296,8 +1348,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             BExpr::Eoi => self.eval_eoi(fi),
             BExpr::Local(sym) => self.lookup_local(fi, sym),
             BExpr::NtAttr { slot, nt, attr } => {
-                let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr)
+                let id = self.m.frames[fi].results[slot as usize]?;
+                self.m.arena.node_attr(id, nt, attr)
             }
             other => self.eval_complex(other, fi),
         }
@@ -1321,22 +1373,22 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 }
             }
             BExpr::NtAttr { slot, nt, attr } => {
-                let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr)
+                let id = self.m.frames[fi].results[slot as usize]?;
+                self.m.arena.node_attr(id, nt, attr)
             }
             BExpr::ElemAttr { slot, nt, index, attr } => {
                 let k = self.eval(index, fi)?;
-                let id = self.frames[fi].results[slot as usize]?;
-                let Entry::Array(a) = self.arena.entry(id) else { return None };
+                let id = self.m.frames[fi].results[slot as usize]?;
+                let Entry::Array(a) = self.m.arena.entry(id) else { return None };
                 if a.nt != nt || k < 0 {
                     return None;
                 }
-                let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr)
+                let elem = *self.m.arena.child_ids(a.elems).get(k as usize)?;
+                self.m.arena.node_attr(elem, nt, attr)
             }
             BExpr::OuterAttr { nt, attr } => {
                 let id = self.lookup_outer_node(fi, nt)?;
-                self.arena.node_attr(id, nt, attr)
+                self.m.arena.node_attr(id, nt, attr)
             }
             BExpr::OuterElem { nt, index, attr } => {
                 let k = self.eval(index, fi)?;
@@ -1344,33 +1396,33 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     return None;
                 }
                 let arr = self.lookup_outer_array(fi, nt)?;
-                let Entry::Array(a) = self.arena.entry(arr) else { return None };
-                let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr)
+                let Entry::Array(a) = self.m.arena.entry(arr) else { return None };
+                let elem = *self.m.arena.child_ids(a.elems).get(k as usize)?;
+                self.m.arena.node_attr(elem, nt, attr)
             }
             BExpr::Exists { var, slot, nt, cond, then, els } => {
                 // Only the element *count* is needed up front, as in the
                 // interpreter.
                 let n = match slot {
                     Some(sl) => {
-                        let id = self.frames[fi].results[sl as usize]?;
-                        match self.arena.entry(id) {
+                        let id = self.m.frames[fi].results[sl as usize]?;
+                        match self.m.arena.entry(id) {
                             Entry::Array(a) if a.nt == nt => a.elems.len as usize,
                             _ => return None,
                         }
                     }
                     None => {
                         let id = self.lookup_outer_array(fi, nt)?;
-                        match self.arena.entry(id) {
+                        match self.m.arena.entry(id) {
                             Entry::Array(a) => a.elems.len as usize,
                             _ => return None,
                         }
                     }
                 };
                 let mut found: Option<i64> = None;
-                self.frames[fi].env.push_scope(var, 0);
+                self.m.frames[fi].env.push_scope(var, 0);
                 for k in 0..n {
-                    self.frames[fi].env.set_top(var, k as i64);
+                    self.m.frames[fi].env.set_top(var, k as i64);
                     match self.eval(cond, fi) {
                         Some(0) => continue,
                         Some(_) => {
@@ -1378,20 +1430,20 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                             break;
                         }
                         None => {
-                            self.frames[fi].env.pop_scope();
+                            self.m.frames[fi].env.pop_scope();
                             return None;
                         }
                     }
                 }
                 match found {
                     Some(k) => {
-                        self.frames[fi].env.set_top(var, k);
+                        self.m.frames[fi].env.set_top(var, k);
                         let v = self.eval(then, fi);
-                        self.frames[fi].env.pop_scope();
+                        self.m.frames[fi].env.pop_scope();
                         v
                     }
                     None => {
-                        self.frames[fi].env.pop_scope();
+                        self.m.frames[fi].env.pop_scope();
                         self.eval(els, fi)
                     }
                 }
@@ -1404,11 +1456,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// "undefined" so the caller suspends.
     #[inline]
     fn eval_eoi(&mut self, fi: usize) -> Option<i64> {
-        if fi == 0 && self.root_open && !self.complete {
-            self.suspend = Some(Hint::UntilEnd);
+        if fi == 0 && self.m.root_open && !self.m.complete {
+            self.m.suspend = Some(Hint::UntilEnd);
             return None;
         }
-        Some(self.frames[fi].env.fast_eoi())
+        Some(self.m.frames[fi].env.fast_eoi())
     }
 
     /// Current environment, falling through to the invoking alternative's
@@ -1421,16 +1473,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// sealing.
     fn lookup_local(&mut self, fi: usize, sym: Sym) -> Option<i64> {
         if fi == 0
-            && self.root_open
-            && !self.complete
+            && self.m.root_open
+            && !self.m.complete
             && (sym == wellknown::EOI || sym == wellknown::START)
         {
-            self.suspend = Some(Hint::UntilEnd);
+            self.m.suspend = Some(Hint::UntilEnd);
             return None;
         }
         let mut i = fi as u32;
         loop {
-            let f = &self.frames[i as usize];
+            let f = &self.m.frames[i as usize];
             if let Some(v) = f.env.get(sym) {
                 return Some(v);
             }
@@ -1446,9 +1498,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn lookup_outer_node(&self, fi: usize, nt: NtId) -> Option<TreeId> {
         let mut i = fi as u32;
         loop {
-            let f = &self.frames[i as usize];
+            let f = &self.m.frames[i as usize];
             for id in f.results.iter().rev().flatten() {
-                match self.arena.entry(*id) {
+                match self.m.arena.entry(*id) {
                     Entry::Node(n) if n.nt == nt => return Some(*id),
                     Entry::Blackbox(b) if b.nt == nt => return Some(*id),
                     _ => {}
@@ -1465,9 +1517,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn lookup_outer_array(&self, fi: usize, nt: NtId) -> Option<TreeId> {
         let mut i = fi as u32;
         loop {
-            let f = &self.frames[i as usize];
+            let f = &self.m.frames[i as usize];
             for id in f.results.iter().rev().flatten() {
-                if let Entry::Array(a) = self.arena.entry(*id) {
+                if let Entry::Array(a) = self.m.arena.entry(*id) {
                     if a.nt == nt {
                         return Some(*id);
                     }
@@ -1571,32 +1623,46 @@ enum Phase {
 /// assert_eq!(tree.root().child_node_nt(g.nt_id("Body").unwrap()).unwrap().span(), (2, 6));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct Session<'p> {
-    vm: VmSession<'p, Vec<u8>>,
+pub struct Session<'g> {
+    /// This session's own clone of its parser; every call re-borrows its
+    /// grammar and program.
+    parser: VmParser<'g>,
+    /// The machine state, parked by value between calls. `None` only
+    /// while [`Session::pump`] runs it.
+    machine: Option<Machine<Vec<u8>>>,
     phase: Phase,
-    anchor: AnchorRequirement,
-    start_nt: NtId,
-    /// Whether the machine has a live frame stack to resume.
-    started: bool,
     max_bytes: Option<usize>,
     /// Parked terminal error, replayed on any use after close.
     err: Option<Error>,
 }
 
-impl<'p> Session<'p> {
+impl<'g> Session<'g> {
     /// Opens a session on `parser` (see also [`VmParser::streaming`]).
-    pub fn new(parser: &'p VmParser<'_>) -> Self {
-        let mut vm = parser.fresh_session(Vec::new());
-        vm.complete = false;
-        let start_nt = parser.program.start_nt();
-        let phase = match parser.program.rules[start_nt.0 as usize].kind {
+    pub fn new(parser: &VmParser<'g>) -> Self {
+        let mut machine = parser.machine(Vec::new(), ());
+        machine.complete = false;
+        let p = parser.program();
+        let phase = match p.rules[p.start_nt().0 as usize].kind {
             PRuleKind::Alts { .. } => Phase::Fresh,
             // A builtin/blackbox root consumes "its interval" — the whole
             // input — so nothing can run early.
             _ => Phase::Deferred,
         };
-        let anchor = parser.anchor;
-        Session { vm, phase, anchor, start_nt, started: false, max_bytes: None, err: None }
+        Session {
+            parser: parser.clone(),
+            machine: Some(machine),
+            phase,
+            max_bytes: None,
+            err: None,
+        }
+    }
+
+    fn m(&self) -> &Machine<Vec<u8>> {
+        self.machine.as_ref().expect("the machine is parked between calls")
+    }
+
+    fn m_mut(&mut self) -> &mut Machine<Vec<u8>> {
+        self.machine.as_mut().expect("the machine is parked between calls")
     }
 
     /// Caps the total buffered bytes; exceeding the cap poisons the
@@ -1608,29 +1674,29 @@ impl<'p> Session<'p> {
 
     /// Overrides the parser's step fuel for this session only.
     pub fn max_steps(mut self, steps: u64) -> Self {
-        self.vm.max_steps = steps;
+        self.m_mut().max_steps = steps;
         self
     }
 
-    /// The grammar's anchor requirement (copied from [`VmParser::anchor`]).
+    /// The grammar's anchor requirement (see [`VmParser::anchor`]).
     pub fn anchor(&self) -> AnchorRequirement {
-        self.anchor
+        self.parser.anchor()
     }
 
     /// Bytes buffered so far.
     pub fn buffered(&self) -> usize {
-        self.vm.bytes().len()
+        self.m().input.len()
     }
 
     /// Number of suspensions taken so far (service telemetry).
     pub fn suspends(&self) -> u64 {
-        self.vm.suspend_count
+        self.m().suspend_count
     }
 
     /// Engine statistics so far (steps are comparable with the one-shot
     /// engines at completion).
     pub fn stats(&self) -> ParseStats {
-        self.vm.stats()
+        self.m().stats()
     }
 
     /// Whether the session has delivered its result (or was poisoned).
@@ -1648,13 +1714,13 @@ impl<'p> Session<'p> {
             return Outcome::Error(self.closed_error());
         }
         if let Some(cap) = self.max_bytes {
-            if self.vm.bytes().len().saturating_add(chunk.len()) > cap {
+            if self.buffered().saturating_add(chunk.len()) > cap {
                 return self.poison(Error::Session(format!(
                     "input exceeds the session byte budget of {cap}"
                 )));
             }
         }
-        self.vm.input.extend_from_slice(chunk);
+        self.m_mut().input.extend_from_slice(chunk);
         match self.phase {
             Phase::Deferred => Outcome::NeedInput { hint: Hint::UntilEnd },
             Phase::Fresh => self.pump(),
@@ -1664,8 +1730,8 @@ impl<'p> Session<'p> {
                 // the hint against the *current* buffer so partial feeds
                 // see the remaining shortfall, not the original one.
                 match need {
-                    Some(n) if self.vm.bytes().len() >= n => self.pump(),
-                    Some(n) => Outcome::NeedInput { hint: Hint::Bytes(n - self.vm.bytes().len()) },
+                    Some(n) if self.buffered() >= n => self.pump(),
+                    Some(n) => Outcome::NeedInput { hint: Hint::Bytes(n - self.buffered()) },
                     None => Outcome::NeedInput { hint },
                 }
             }
@@ -1681,77 +1747,49 @@ impl<'p> Session<'p> {
         if let Phase::Closed = self.phase {
             return Outcome::Error(self.closed_error());
         }
-        self.vm.complete = true;
-        if self.started {
-            self.vm.seal_root();
-        }
+        let m = self.m_mut();
+        m.complete = true;
+        m.seal_root();
         self.pump()
     }
 
-    /// Starts or resumes the machine and classifies how it stopped.
+    /// Starts or resumes the machine and classifies how it stopped. The
+    /// parked machine runs against this session's own parser for the
+    /// length of the call and is parked again before returning.
     fn pump(&mut self) -> Outcome {
-        let step = self.step_machine();
-        match step {
+        let core = &*self.parser.core;
+        let m = self.machine.take().expect("the machine is parked between calls");
+        let mut vm = VmSession { g: &core.grammar, p: &core.program, m };
+        let resume = matches!(self.phase, Phase::Suspended { .. });
+        let step = vm.step(resume, core.program.start_nt());
+        let outcome = match step {
             Ok(Some(root)) => {
-                let arena =
-                    std::mem::replace(&mut self.vm.arena, TreeArena::empty(self.vm.p.nt_table()));
+                let arena = std::mem::replace(&mut vm.m.arena, TreeArena::empty(vm.p.nt_table()));
                 // `err` stays `None`: the misuse error for feeding a
                 // delivered session is built lazily in `closed_error`.
                 self.phase = Phase::Closed;
                 Outcome::Done(ParseTree { arena, root })
             }
-            Ok(None) => {
-                let e = Error::Parse(self.vm.deepest.clone());
-                self.poison(e)
-            }
+            Ok(None) => Outcome::Error(Error::Parse(vm.m.deepest.clone())),
             Err(Abort::FuelExhausted) => {
-                let e = Error::Parse(ParseError {
-                    offset: self.vm.deepest.offset,
-                    nonterminal: self.vm.deepest.nonterminal.clone(),
-                    msg: FuelMsg::Verbose.render(self.vm.max_steps),
-                });
-                self.poison(e)
+                Outcome::Error(Error::Parse(vm.m.fuel_error(FuelMsg::Verbose)))
             }
             Err(Abort::Suspend) => {
-                debug_assert!(!self.vm.complete, "no suspension can fire after end-of-input");
-                let hint = self.vm.suspend.take().expect("suspension parks a hint");
+                debug_assert!(!vm.m.complete, "no suspension can fire after end-of-input");
+                let hint = vm.m.suspend.take().expect("suspension parks a hint");
                 let need = match hint {
-                    Hint::Bytes(n) => Some(self.vm.bytes().len() + n),
+                    Hint::Bytes(n) => Some(vm.m.bytes().len() + n),
                     Hint::UntilEnd => None,
                 };
                 self.phase = Phase::Suspended { need, hint };
                 Outcome::NeedInput { hint }
             }
-        }
-    }
-
-    /// One driver step: start the root or re-enter the suspended
-    /// operation, then drive until done/suspended/aborted.
-    fn step_machine(&mut self) -> PResult<Option<TreeId>> {
-        if !self.started {
-            self.started = true;
-            if self.vm.complete {
-                // Nothing ran before end-of-input: plain one-shot parse
-                // over the whole buffer (also the builtin/blackbox-root
-                // path).
-                return self.vm.run_root(self.start_nt);
-            }
-            return match self.vm.push_open_root(self.start_nt)? {
-                true => self.vm.drive(Flow::Exec),
-                false => Ok(None), // zero-alternative root: immediate failure
-            };
-        }
-        let flow = match self.vm.resume {
-            ResumeKind::Exec => Flow::Exec,
-            ResumeKind::LoopIter => {
-                let fi = self.vm.depth - 1;
-                match std::mem::replace(&mut self.vm.frames[fi].pending, Pending::None) {
-                    Pending::Loop(st) => self.vm.loop_next(fi, st)?,
-                    _ => unreachable!("LoopIter resume requires a stashed loop"),
-                }
-            }
         };
-        self.vm.drive(flow)
+        self.machine = Some(vm.m);
+        match outcome {
+            Outcome::Error(e) => self.poison(e),
+            other => other,
+        }
     }
 
     fn poison(&mut self, e: Error) -> Outcome {
@@ -1764,6 +1802,37 @@ impl<'p> Session<'p> {
         self.err
             .clone()
             .unwrap_or_else(|| Error::Session("session already delivered its result".into()))
+    }
+}
+
+impl VmSession<'_, Vec<u8>> {
+    /// One streaming driver step: start the root, or with `resume`
+    /// re-enter the suspended operation, then drive until
+    /// done/suspended/aborted.
+    fn step(&mut self, resume: bool, start_nt: NtId) -> PResult<Option<TreeId>> {
+        if !resume {
+            if self.m.complete {
+                // Nothing ran before end-of-input: plain one-shot parse
+                // over the whole buffer (also the builtin/blackbox-root
+                // path).
+                return self.run_root(start_nt);
+            }
+            return match self.push_open_root(start_nt)? {
+                true => self.drive(Flow::Exec),
+                false => Ok(None), // zero-alternative root: immediate failure
+            };
+        }
+        let flow = match self.m.resume {
+            ResumeKind::Exec => Flow::Exec,
+            ResumeKind::LoopIter => {
+                let fi = self.m.depth - 1;
+                match std::mem::replace(&mut self.m.frames[fi].pending, Pending::None) {
+                    Pending::Loop(st) => self.loop_next(fi, st)?,
+                    _ => unreachable!("LoopIter resume requires a stashed loop"),
+                }
+            }
+        };
+        self.drive(flow)
     }
 }
 

@@ -79,7 +79,6 @@ use crate::bytecode::{
 use crate::check::{Grammar, NtId};
 use crate::error::{Error, Result};
 use crate::intern::Sym;
-use crate::interp::vm::VmParser;
 use crate::sha256::{ct_eq32, hmac_sha256, sha256};
 use crate::syntax::{BinOp, Builtin};
 use std::path::{Path, PathBuf};
@@ -1271,11 +1270,18 @@ impl Artifact {
         Ok(())
     }
 
-    /// Binds the artifact to its reconstructed grammar, producing a
-    /// ready-to-run [`VmParser`] without recompiling the bytecode.
-    pub fn into_parser(self, grammar: &Grammar) -> Result<VmParser<'_>> {
-        self.validate_against(grammar)?;
-        Ok(VmParser::from_compiled(grammar, self.program, self.anchor, self.hints))
+    /// Rebinds the artifact to its grammar: re-checks the embedded source
+    /// (see [`Artifact::reconstruct_grammar`], which validates the
+    /// artifact against it) and packages the result for
+    /// [`crate::VmParser::from_compiled`], without recompiling the bytecode.
+    ///
+    /// # Errors
+    ///
+    /// As [`Artifact::reconstruct_grammar`].
+    pub fn rebind(self, blackboxes: Vec<Blackbox>) -> Result<CachedProgram> {
+        let grammar = self.reconstruct_grammar(blackboxes)?;
+        let Artifact { program, anchor, hints, source_hash, .. } = self;
+        Ok(CachedProgram { grammar, program, anchor, hints, source_hash })
     }
 }
 
@@ -1308,7 +1314,7 @@ pub enum CacheOutcome {
 
 /// A compiled grammar as handed out by the cache: the checked grammar
 /// plus the program and precomputed analyses, ready for
-/// [`VmParser::from_compiled`].
+/// [`crate::VmParser::from_compiled`].
 #[derive(Debug)]
 pub struct CachedProgram {
     /// The checked grammar (reconstructed or freshly checked).
@@ -1511,9 +1517,7 @@ impl Cache {
         if artifact.spec != spec {
             return Err(Error::Artifact("embedded source differs from requested spec".into()));
         }
-        let grammar = artifact.reconstruct_grammar(blackboxes)?;
-        let Artifact { program, anchor, hints, source_hash, .. } = artifact;
-        Ok(CachedProgram { grammar, program, anchor, hints, source_hash })
+        artifact.rebind(blackboxes)
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -1682,14 +1686,14 @@ mod tests {
     #[test]
     fn loaded_program_parses_identically() {
         let (g, artifact) = roundtrip(FIG2);
-        let reconstructed = artifact.reconstruct_grammar(Vec::new()).unwrap();
-        let vm = artifact.into_parser(&reconstructed).unwrap();
+        let vm = crate::VmParser::from_compiled(artifact.rebind(Vec::new()).unwrap());
+        let reconstructed = vm.grammar();
         let mut input = vec![8u8, 0, 0, 0, 4, 0, 0, 0];
         input.extend_from_slice(b"DATA");
         let tree = vm.parse(&input).expect("loaded program parses");
         let h = tree.root().as_node().unwrap().child_node_nt(g.nt_id("H").unwrap()).unwrap();
-        assert_eq!(h.attr(&reconstructed, "offset"), Some(8));
-        assert_eq!(h.attr(&reconstructed, "length"), Some(4));
+        assert_eq!(h.attr(reconstructed, "offset"), Some(8));
+        assert_eq!(h.attr(reconstructed, "length"), Some(4));
     }
 
     #[test]

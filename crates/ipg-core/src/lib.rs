@@ -80,6 +80,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod arena;
 pub mod blackbox;

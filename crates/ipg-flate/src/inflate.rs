@@ -152,9 +152,9 @@ pub fn inflate_with_limit(data: &[u8], limit: usize) -> Result<(Vec<u8>, usize),
     Ok((out, r.bytes_consumed().min(data.len())))
 }
 
-/// Slow-path counterpart of [`inflate`]: the frozen seed decoder (see
-/// [`crate::seed`]), kept as the validation baseline and the benchmark
-/// reference.
+/// Slow-path counterpart of [`inflate`]: the frozen seed decoder (the
+/// private `seed` module), kept as the validation baseline and the
+/// benchmark reference.
 ///
 /// # Errors
 ///

@@ -29,6 +29,8 @@
 //! # Ok::<(), ipg_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod combinator_impls;
 pub mod dns;
 pub mod elf;
@@ -41,8 +43,8 @@ pub mod registry;
 pub mod zip;
 
 pub use registry::{
-    corpus_descriptors, corpus_entry, pinned_corpus, Compiled, DirReload, Entry, FormatDescriptor,
-    Origin, Registry,
+    corpus_descriptors, corpus_entry, pinned_corpus, DirReload, Entry, FormatDescriptor, Origin,
+    Registry,
 };
 
 use ipg_core::arena::NodeRef;

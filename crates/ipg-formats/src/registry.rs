@@ -14,11 +14,12 @@
 //!
 //! ## Generations, not leaks
 //!
-//! Each loaded grammar lives in an [`Arc`]-counted [`Compiled`]
-//! *generation*: the checked grammar and the bytecode parser borrowing
-//! it, packaged as one refcounted unit. [`Registry::reload`] and
+//! Each loaded grammar is one *generation*: a [`VmParser`] that owns its
+//! checked grammar and compiled program (see
+//! [`VmParser::from_compiled`]), so handing a generation out is cloning
+//! the parser — one reference-count increment. [`Registry::reload`] and
 //! [`Registry::reload_dir`] swap a name to a new generation atomically —
-//! holders of the old [`Arc`] (in-flight parse sessions, pinned entries)
+//! holders of the old parser (in-flight parse sessions, pinned entries)
 //! keep using the generation they started with until they drop it, new
 //! lookups observe the new one, and a failed load leaves the table
 //! untouched (rollback is the absence of a swap, never a half-updated
@@ -26,10 +27,10 @@
 //! each other's reloads, which is what lets a filesystem watcher thread
 //! feed a live server.
 //!
-//! The per-process corpus table ([`pinned_corpus`]) is still pinned for
-//! the process lifetime — that one intentional, bounded promotion gives
-//! the format modules their `grammar()`/`vm()` statics — but repeated
-//! loads no longer leak: everything dynamic is reference-counted.
+//! The per-process corpus table ([`pinned_corpus`]) lives in a
+//! `OnceLock` static for the process lifetime — that is what gives the
+//! format modules their `grammar()`/`vm()` statics — while everything
+//! loaded later is reference-counted and freed with its last holder.
 
 use ipg_core::blackbox::Blackbox;
 use ipg_core::check::Grammar;
@@ -72,93 +73,16 @@ impl Origin {
     }
 }
 
-/// One compiled grammar generation: the checked [`Grammar`] and the
-/// [`VmParser`] compiled against it, owned together so the pair can be
-/// handed out behind a single [`Arc`].
-///
-/// The parser borrows the grammar, so the struct is self-referential:
-/// the grammar is boxed (stable heap address), the parser's lifetime is
-/// erased internally, and the public accessors re-tie every borrow to
-/// `&self` — safe Rust callers can never observe the erased lifetime.
-pub struct Compiled {
-    // Declared before `grammar`: struct fields drop in declaration
-    // order, and the parser must drop before the grammar it borrows.
-    vm: VmParser<'static>,
-    grammar: Box<Grammar>,
-    source_hash: u64,
-}
-
-// SAFETY: the erased-lifetime reference inside `vm` points into
-// `grammar`, which is owned by the same struct; the pair is as
-// Send/Sync as its components (Grammar and VmParser are both Sync).
-unsafe impl Send for Compiled {}
-unsafe impl Sync for Compiled {}
-
-impl Compiled {
-    /// Packages a cache-loaded (or freshly compiled) program as one
-    /// refcounted generation.
-    pub fn from_cached(cached: CachedProgram) -> Arc<Compiled> {
-        let CachedProgram { grammar, program, anchor, hints, source_hash } = cached;
-        let grammar = Box::new(grammar);
-        // SAFETY: the Box's heap allocation never moves, `Compiled` is
-        // never dismantled (no fields are taken out), and field order
-        // guarantees `vm` drops first — so the reference outlives every
-        // use. The 'static lifetime is a private fiction; accessors
-        // shrink it back to the lifetime of `&self`.
-        let g: &'static Grammar = unsafe { &*(&*grammar as *const Grammar) };
-        let vm = VmParser::from_compiled(g, program, anchor, hints);
-        Arc::new(Compiled { vm, grammar, source_hash })
-    }
-
-    /// The checked grammar (tree-walking interpreter side).
-    pub fn grammar(&self) -> &Grammar {
-        &self.grammar
-    }
-
-    /// The compiled bytecode parser (fuel-free; bound work per parse with
-    /// [`ipg_core::interp::vm::Session::max_steps`] or a fueled wrapper).
-    pub fn vm(&self) -> &VmParser<'_> {
-        // Covariance shrinks the erased 'static to the borrow of self.
-        &self.vm
-    }
-
-    /// The artifact cache key this generation was built from.
-    pub fn source_hash(&self) -> u64 {
-        self.source_hash
-    }
-
-    /// The parser with the generation's lifetime erased, for holders
-    /// that pin the generation alongside the borrow (serve sessions).
-    ///
-    /// # Safety
-    ///
-    /// The caller must keep (a clone of) `this` alive for as long as the
-    /// returned reference — or anything derived from it, such as a
-    /// streaming session — is used.
-    pub unsafe fn vm_pinned(this: &Arc<Compiled>) -> &'static VmParser<'static> {
-        unsafe { &*(&this.vm as *const VmParser<'static>) }
-    }
-}
-
-impl std::fmt::Debug for Compiled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Compiled")
-            .field("start", &self.grammar.start_nt_name())
-            .field("source_hash", &format_args!("{:016x}", self.source_hash))
-            .finish_non_exhaustive()
-    }
-}
-
 /// Monotone generation ids, process-wide: every swap observably advances.
 fn next_generation() -> u64 {
     static GENERATION: AtomicU64 = AtomicU64::new(1);
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One registered grammar: a name bound to a [`Compiled`] generation,
-/// plus how the program was obtained. Cloning an entry clones the
-/// *handle* — the generation itself is shared and stays alive as long as
-/// any clone does.
+/// One registered grammar: a name bound to a generation (a
+/// self-contained [`VmParser`]), plus how the program was obtained.
+/// Cloning an entry clones the parser *handle* — the generation itself
+/// is shared and stays alive as long as any clone does.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// Registry name (corpus module name, or a file stem for loaded paths).
@@ -168,28 +92,26 @@ pub struct Entry {
     /// The generation id: strictly increasing across reloads, so a
     /// changed id is proof a swap happened.
     pub generation: u64,
-    handle: Arc<Compiled>,
+    vm: VmParser<'static>,
 }
 
 impl Entry {
-    fn new(name: String, origin: Origin, handle: Arc<Compiled>) -> Entry {
-        Entry { name, origin, generation: next_generation(), handle }
+    fn new(name: String, origin: Origin, vm: VmParser<'static>) -> Entry {
+        Entry { name, origin, generation: next_generation(), vm }
     }
 
     /// The checked grammar of this entry's generation.
     pub fn grammar(&self) -> &Grammar {
-        self.handle.grammar()
+        self.vm.grammar()
     }
 
-    /// The compiled bytecode parser of this entry's generation.
-    pub fn vm(&self) -> &VmParser<'_> {
-        self.handle.vm()
-    }
-
-    /// The generation handle itself (pin it to keep the grammar alive
-    /// independent of the registry).
-    pub fn handle(&self) -> Arc<Compiled> {
-        Arc::clone(&self.handle)
+    /// The compiled bytecode parser of this entry's generation
+    /// (fuel-free; bound work per parse with
+    /// [`VmParser::parse_bounded`], [`ipg_core::interp::vm::Session::max_steps`],
+    /// or a fueled clone). Clone it to keep the generation alive
+    /// independent of the registry.
+    pub fn vm(&self) -> &VmParser<'static> {
+        &self.vm
     }
 }
 
@@ -273,7 +195,7 @@ fn load_entry(name: &str, spec: &str, blackboxes: Vec<Blackbox>) -> Result<Entry
         }
         None => (CachedProgram::compile(spec, blackboxes)?, Origin::Memory),
     };
-    Ok(Entry::new(name.to_owned(), origin, Compiled::from_cached(cached)))
+    Ok(Entry::new(name.to_owned(), origin, VmParser::from_compiled(cached)))
 }
 
 /// Loads a `.ipgc` artifact file into an entry (no cache lookup). The
@@ -284,17 +206,8 @@ fn load_artifact_entry(path: &Path) -> Result<Entry> {
     let name = stem_of(path)?;
     let bytes = std::fs::read(path)
         .map_err(|e| Error::Artifact(format!("cannot read {}: {e}", path.display())))?;
-    let artifact = ipg_core::ipgc::decode(&bytes)?;
-    let grammar = artifact.reconstruct_grammar(Vec::new())?;
-    artifact.validate_against(&grammar)?;
-    let cached = CachedProgram {
-        grammar,
-        program: artifact.program,
-        anchor: artifact.anchor,
-        hints: artifact.hints,
-        source_hash: artifact.source_hash,
-    };
-    Ok(Entry::new(name, Origin::ArtifactFile, Compiled::from_cached(cached)))
+    let cached = ipg_core::ipgc::decode(&bytes)?.rebind(Vec::new())?;
+    Ok(Entry::new(name, Origin::ArtifactFile, VmParser::from_compiled(cached)))
 }
 
 /// Loads a `.ipg` source file into an entry, through the environment's
@@ -405,17 +318,17 @@ impl Registry {
     }
 
     /// Pins the current generation for `name`: the cheapest lookup on
-    /// the serve admission path, returning just the refcounted handle.
-    pub fn pin(&self, name: &str) -> Option<Arc<Compiled>> {
-        self.read().iter().find(|s| s.entry.name == name).map(|s| s.entry.handle())
+    /// the serve admission path, returning just a clone of the parser.
+    pub fn pin(&self, name: &str) -> Option<VmParser<'static>> {
+        self.read().iter().find(|s| s.entry.name == name).map(|s| s.entry.vm.clone())
     }
 
     /// Registers a pre-built generation under `name`, replacing any
     /// existing entry with that name. Entries registered this way have
     /// no reload source: [`Registry::reload`] reports a typed error for
     /// them.
-    pub fn register(&self, name: &str, handle: Arc<Compiled>) -> Entry {
-        self.insert(Entry::new(name.to_owned(), Origin::Memory, handle), None)
+    pub fn register(&self, name: &str, vm: VmParser<'static>) -> Entry {
+        self.insert(Entry::new(name.to_owned(), Origin::Memory, vm), None)
     }
 
     /// Loads `.ipg` source under `name` through the environment's cache
@@ -611,8 +524,8 @@ mod tests {
     fn register_replaces_by_name() {
         let reg = Registry::new();
         let entry = corpus_entry("dns");
-        reg.register("only", entry.handle());
-        reg.register("only", entry.handle());
+        reg.register("only", entry.vm().clone());
+        reg.register("only", entry.vm().clone());
         assert_eq!(reg.entries().len(), 1);
         assert!(reg.pin("only").is_some());
         assert!(reg.pin("dns").is_none());
@@ -633,7 +546,7 @@ mod tests {
     fn clones_share_one_table() {
         let a = Registry::new();
         let b = a.clone();
-        a.register("shared", corpus_entry("dns").handle());
+        a.register("shared", corpus_entry("dns").vm().clone());
         assert!(b.pin("shared").is_some(), "clones must observe each other's registrations");
     }
 
@@ -645,20 +558,20 @@ mod tests {
         let after = reg.reload("dns").unwrap();
         assert!(after.generation > before.generation, "reload must advance the generation");
         assert!(
-            !Arc::ptr_eq(&pinned, &reg.pin("dns").unwrap()),
+            !std::ptr::eq(pinned.program(), reg.pin("dns").unwrap().program()),
             "the table must hand out the new generation"
         );
         // The pinned old generation still parses: in-flight work is
         // unaffected by the swap.
         let input = ipg_corpus::dns::generate(&Default::default()).bytes;
-        pinned.vm().parse(&input).expect("old generation stays usable");
+        pinned.parse(&input).expect("old generation stays usable");
         reg.get("dns").unwrap().vm().parse(&input).expect("new generation parses");
     }
 
     #[test]
     fn reload_of_prebuilt_registration_is_a_typed_error() {
         let reg = Registry::new();
-        reg.register("pinned", corpus_entry("dns").handle());
+        reg.register("pinned", corpus_entry("dns").vm().clone());
         match reg.reload("pinned") {
             Err(Error::Grammar(m)) => assert!(m.contains("no reload source"), "{m}"),
             other => panic!("expected Grammar error, got {other:?}"),

@@ -11,7 +11,7 @@
 //!
 //! ## How it works
 //!
-//! The walker ([`walk`]) mirrors the interpreter's big-step semantics, but
+//! The walker (`walk`) mirrors the interpreter's big-step semantics, but
 //! each *read* becomes a *choice or constraint*:
 //!
 //! 1. builtins allocate unknowns and write back-patchable field segments;
@@ -48,6 +48,8 @@
 //! assert!(ipg_core::interp::Parser::new(&g).parse(&input).is_ok());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod hooks;
 pub mod lin;

@@ -4,7 +4,8 @@
 //! Architecture (bottom up):
 //!
 //! * **Program cache** — the shared [`ipg_formats::Registry`] maps
-//!   grammar names to refcounted [`Compiled`] *generations*.
+//!   grammar names to *generations*: self-contained
+//!   [`ipg_core::VmParser`]s that clone by reference count.
 //!   [`Registry::corpus`] pre-loads all nine corpus grammars through the
 //!   versioned `.ipgc` artifact cache ([`ipg_core::ipgc`]) — workers load
 //!   persisted bytecode instead of recompiling, and user-supplied
@@ -52,6 +53,8 @@
 //! # let _ = outcome;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod histo;
 pub mod metrics;
@@ -64,7 +67,7 @@ pub mod watch;
 use fault::FaultPlan;
 use ipg_core::interp::vm::Hint;
 use ipg_core::ipgc::cache_totals;
-use ipg_core::Error;
+use ipg_core::{Error, VmParser};
 use pool::{Job, JobKind, Shard, Shared};
 use stats::{Counters, Kind, StatsSnapshot};
 use std::path::Path;
@@ -129,7 +132,7 @@ impl Default for Config {
     }
 }
 
-pub use ipg_formats::{Compiled, Registry};
+pub use ipg_formats::Registry;
 
 /// Completion summary of a successful parse (what crosses the wire; the
 /// in-process API returns it too, keeping both front ends honest about
@@ -651,7 +654,7 @@ impl Server {
     /// Pins the current generation for `grammar`: in-flight work keeps
     /// the generation it was admitted with even if a reload swaps the
     /// registry entry mid-parse.
-    fn lookup(&self, grammar: &str) -> Result<Arc<Compiled>, Error> {
+    fn lookup(&self, grammar: &str) -> Result<VmParser<'static>, Error> {
         self.registry
             .pin(grammar)
             .ok_or_else(|| Error::Grammar(format!("unknown grammar `{grammar}`")))

@@ -23,7 +23,7 @@
 //!   self-clocking (one outstanding request per handle/connection), so
 //!   its depth is bounded by the number of live sessions, and letting it
 //!   through last honors "pinned traffic degrades last".
-//! * **Drain** — once [`Shared::draining`] is set, queued one-shot jobs
+//! * **Drain** — once `Shared::draining` is set, queued one-shot jobs
 //!   still execute (flush), but session jobs are answered `GOAWAY` and
 //!   their sessions sealed; workers seal any remaining sessions before
 //!   exiting instead of silently dropping them.
@@ -32,8 +32,7 @@ use crate::fault::{Fault, FaultPlan};
 use crate::stats::Counters;
 use crate::{ParseSummary, Response};
 use ipg_core::interp::vm::{Outcome, Session};
-use ipg_core::Error;
-use ipg_formats::Compiled;
+use ipg_core::{Error, VmParser};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,14 +45,14 @@ use std::time::{Duration, Instant};
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
 /// What one job asks for. Owned buffers only: jobs cross threads. Jobs
-/// that execute a grammar carry a pinned [`Compiled`] generation — the
-/// handle the admission path resolved — so a concurrent hot reload can
+/// that execute a grammar carry the parser generation the admission path
+/// resolved (a self-contained clone), so a concurrent hot reload can
 /// never pull a program out from under queued or running work.
 pub(crate) enum JobKind {
     /// Parse `input` in one shot.
-    Parse { vm: Arc<Compiled>, input: Vec<u8> },
+    Parse { vm: VmParser<'static>, input: Vec<u8> },
     /// Open a streaming session under `id` (pre-routed to the owner).
-    Open { id: u64, vm: Arc<Compiled> },
+    Open { id: u64, vm: VmParser<'static> },
     /// Append a chunk to session `id`.
     Feed { id: u64, bytes: Vec<u8> },
     /// Signal end-of-input to session `id`.
@@ -266,15 +265,11 @@ pub(crate) fn outcome_name(resp: &Response) -> &'static str {
     }
 }
 
-/// A live streaming session pinned to one worker. The session borrows
-/// the generation's parser, so the generation handle rides along:
-/// `session` is declared first and therefore drops first, and the pin
-/// keeps the old generation alive across hot reloads until the session
-/// ends.
+/// A live streaming session pinned to one worker. The session holds its
+/// own clone of the generation's parser, which keeps that generation
+/// alive across hot reloads until the session ends.
 struct Active {
     session: Session<'static>,
-    /// Pins the [`Compiled`] generation `session` borrows from.
-    _generation: Arc<Compiled>,
     deadline: Instant,
 }
 
@@ -442,7 +437,7 @@ fn execute(kind: JobKind, shared: &Arc<Shared>, sessions: &mut HashMap<u64, Acti
     match kind {
         JobKind::Parse { vm, input } => {
             Counters::add(&c.bytes_in, input.len() as u64);
-            let (result, stats) = vm.vm().parse_bounded(&input, shared.max_steps);
+            let (result, stats) = vm.parse_bounded(&input, shared.max_steps);
             Counters::add(&c.steps, stats.steps);
             match result {
                 Ok(tree) => {
@@ -461,14 +456,9 @@ fn execute(kind: JobKind, shared: &Arc<Shared>, sessions: &mut HashMap<u64, Acti
             }
         }
         JobKind::Open { id, vm } => {
-            // SAFETY: `vm_pinned` erases the generation's lifetime; the
-            // `Active` below stores the same `Arc` alongside the session
-            // (dropping session-first), so the borrow outlives its use.
-            let parser = unsafe { Compiled::vm_pinned(&vm) };
-            let session =
-                parser.streaming().max_steps(shared.max_steps).max_bytes(shared.max_bytes);
+            let session = vm.streaming().max_steps(shared.max_steps).max_bytes(shared.max_bytes);
             let deadline = Instant::now() + shared.session_deadline;
-            sessions.insert(id, Active { session, _generation: vm, deadline });
+            sessions.insert(id, Active { session, deadline });
             Counters::add(&c.sessions_opened, 1);
             Counters::add(&c.live_sessions, 1);
             Response::Opened { id }

@@ -102,7 +102,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one length-framed payload; `Ok(None)` on clean EOF before the
 /// length prefix. This is the blocking client-side reader; the server
-/// uses [`read_request`]'s polled, deadline-guarded variant.
+/// uses `read_request`'s polled, deadline-guarded variant.
 ///
 /// # Errors
 ///

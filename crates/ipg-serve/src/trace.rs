@@ -2,7 +2,7 @@
 //! request from protocol admission through pool dispatch to completion.
 //!
 //! Every admitted request is assigned a process-unique **span id** at
-//! admission ([`next_span`]); the id rides on the [`crate::pool::Job`]
+//! admission ([`next_span`]); the id rides on the `pool::Job`
 //! through queueing, stealing, fault injection, and reply delivery, so
 //! the events of one request can be joined back together from the log
 //! with nothing but `span`. Event shape (one JSON object per line):

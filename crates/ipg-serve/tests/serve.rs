@@ -405,7 +405,7 @@ fn drain_sends_goaway_over_the_wire() {
 #[test]
 fn custom_registry_rejects_everything_else() {
     let registry = Registry::new();
-    registry.register("only-dns", ipg_formats::registry::corpus_entry("dns").handle());
+    registry.register("only-dns", ipg_formats::registry::corpus_entry("dns").vm().clone());
     let server = Server::with_registry(Config { workers: 1, ..Config::default() }, registry);
     assert!(server.parse("zip", corpus_input("zip")).is_err());
     assert!(server.parse("only-dns", corpus_input("dns")).is_ok());

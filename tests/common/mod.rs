@@ -32,17 +32,15 @@ pub struct Format {
     pub vm: &'static VmParser<'static>,
 }
 
-/// Fuel-bounded VM per grammar, compiled once per test binary (grammars
-/// come from the shared pinned corpus, i.e. through the `.ipgc`
-/// artifact pipeline).
+/// Fuel-bounded VM per grammar: a fueled clone of the program each
+/// shared pinned-corpus entry loaded through the `.ipgc` artifact
+/// pipeline — the same program `ipg-serve` runs.
 fn fueled_vms() -> &'static [(String, &'static Grammar, VmParser<'static>)] {
     static VMS: OnceLock<Vec<(String, &'static Grammar, VmParser<'static>)>> = OnceLock::new();
     VMS.get_or_init(|| {
         ipg_formats::pinned_corpus()
             .iter()
-            .map(|e| {
-                (e.name.clone(), e.grammar(), VmParser::new(e.grammar()).max_steps(AGREE_FUEL))
-            })
+            .map(|e| (e.name.clone(), e.grammar(), e.vm().clone().max_steps(AGREE_FUEL)))
             .collect()
     })
 }

@@ -14,6 +14,7 @@ mod common;
 use ipg_core::error::Error;
 use ipg_core::interp::Parser;
 use ipg_core::ipgc::{decode, encode, Cache, CachedProgram, FORMAT_VERSION, HEADER_LEN};
+use ipg_core::VmParser;
 use ipg_formats::{corpus_descriptors, Registry};
 
 /// Compile a corpus descriptor in memory (no cache I/O).
@@ -50,10 +51,9 @@ fn loaded_programs_agree_with_the_interpreter_on_corpus_inputs() {
         let (cached, spec) = compiled(d.name);
         let bytes = encode(spec, &cached.grammar, &cached.program, cached.anchor, cached.hints);
         let artifact = decode(&bytes).expect("fresh artifact decodes");
-        let grammar = artifact.reconstruct_grammar((d.blackboxes)()).expect("rebinds");
-        let vm = artifact.into_parser(&grammar).expect("artifact becomes a parser");
+        let vm = VmParser::from_compiled(artifact.rebind((d.blackboxes)()).expect("rebinds"));
 
-        let parser = Parser::new(&grammar).max_steps(common::AGREE_FUEL);
+        let parser = Parser::new(vm.grammar()).max_steps(common::AGREE_FUEL);
         let input = common::default_corpus_input(d.name);
         match Registry::compare_engines(&parser, &vm, &input) {
             Ok(accepted) => assert!(accepted, "{}: corpus input must parse", d.name),

@@ -196,3 +196,39 @@ fn corpus_anchor_requirements_are_pinned() {
         assert_eq!(anchor, *want, "{}: anchor classification changed (spec edit?)", f.name);
     }
 }
+
+#[test]
+fn a_session_owns_its_generation_and_moves_between_threads() {
+    // Reloading gives `dns` a generation only this registry references.
+    // The session pinned from it must outlive the registry and every
+    // entry, and, being `Send + 'static`, continue on another thread.
+    let registry = ipg_formats::Registry::corpus();
+    registry.reload("dns").expect("dns reloads");
+    let session = registry.pin("dns").expect("dns is registered").streaming();
+    drop(registry.entries());
+    drop(registry);
+
+    let input = default_corpus_input("dns");
+    let (one_shot, one_shot_stats) =
+        ipg_formats::registry::corpus_entry("dns").vm().parse_with_stats(&input);
+    let want = one_shot.expect("corpus input parses").root().to_tree();
+
+    let chunked = input.clone();
+    let (tree, steps) = std::thread::spawn(move || {
+        let mut session = session;
+        for chunk in chunked.chunks(5) {
+            match session.feed(chunk) {
+                Outcome::NeedInput { .. } => {}
+                other => panic!("feed must wait for more input, got {other:?}"),
+            }
+        }
+        match session.finish() {
+            Outcome::Done(tree) => (tree, session.stats().steps),
+            other => panic!("finish must complete the parse, got {other:?}"),
+        }
+    })
+    .join()
+    .expect("session thread");
+    assert_eq!(tree.root().to_tree(), want, "moved session builds the one-shot tree");
+    assert_eq!(steps, one_shot_stats.steps, "moved session takes the one-shot steps");
+}
