@@ -230,9 +230,8 @@ fn load_path_entry(path: &Path) -> Result<Entry> {
 }
 
 /// The per-process corpus table, loaded once through the artifact cache
-/// and pinned for the process lifetime (this is what backs the format
-/// modules' `grammar()`/`vm()` statics — one bounded promotion, not a
-/// per-load leak).
+/// into a `OnceLock` static that backs the format modules'
+/// `grammar()`/`vm()`.
 pub fn pinned_corpus() -> &'static [Entry] {
     static ENTRIES: OnceLock<Vec<Entry>> = OnceLock::new();
     ENTRIES.get_or_init(|| {

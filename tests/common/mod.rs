@@ -35,12 +35,27 @@ pub struct Format {
 /// Fuel-bounded VM per grammar: a fueled clone of the program each
 /// shared pinned-corpus entry loaded through the `.ipgc` artifact
 /// pipeline — the same program `ipg-serve` runs.
+///
+/// The artifact cache key covers the spec, not the compiler, so a warm
+/// cache can hand back a program an older `bytecode::compile` produced.
+/// Each loaded program must therefore disassemble exactly like a fresh
+/// compile of its grammar; a stale artifact fails every suite here.
 fn fueled_vms() -> &'static [(String, &'static Grammar, VmParser<'static>)] {
     static VMS: OnceLock<Vec<(String, &'static Grammar, VmParser<'static>)>> = OnceLock::new();
     VMS.get_or_init(|| {
         ipg_formats::pinned_corpus()
             .iter()
-            .map(|e| (e.name.clone(), e.grammar(), e.vm().clone().max_steps(AGREE_FUEL)))
+            .map(|e| {
+                let g = e.grammar();
+                assert_eq!(
+                    e.vm().program().disassemble(g),
+                    ipg_core::bytecode::compile(g).disassemble(g),
+                    "{}: the cached artifact's program differs from a fresh compile \
+                     (stale artifact cache? clear it or set IPG_NO_CACHE=1)",
+                    e.name
+                );
+                (e.name.clone(), g, e.vm().clone().max_steps(AGREE_FUEL))
+            })
             .collect()
     })
 }

@@ -204,8 +204,9 @@ fn a_session_owns_its_generation_and_moves_between_threads() {
     // entry, and, being `Send + 'static`, continue on another thread.
     let registry = ipg_formats::Registry::corpus();
     registry.reload("dns").expect("dns reloads");
+    let entries = registry.entries();
     let session = registry.pin("dns").expect("dns is registered").streaming();
-    drop(registry.entries());
+    drop(entries);
     drop(registry);
 
     let input = default_corpus_input("dns");
